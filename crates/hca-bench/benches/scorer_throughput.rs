@@ -1,21 +1,19 @@
-//! Criterion bench behind the lane-batched scoring kernel: raw candidate
-//! scoring throughput (ns/candidate) on a fixed expansion snapshot of the
-//! 512-node synthetic DAG, scalar `score_if_assignable` loop vs the batched
-//! `score_candidates_batched` kernel. The snapshot is deterministic — half
-//! the nodes greedily assigned, the other half's candidate views frozen —
-//! so the two paths score the exact same (state, node, candidate) set and
-//! the ratio isolates the kernel, not the workload.
+//! Criterion bench of the SEE candidate scorer: raw `score_if_assignable`
+//! throughput (ns/candidate) on a fixed expansion snapshot of the 512-node
+//! synthetic DAG. The snapshot is deterministic — half the nodes greedily
+//! assigned, the other half's candidate views frozen — so every run scores
+//! the exact same (state, node, candidate) set and the figure isolates the
+//! scorer, not the workload.
 //!
-//! Besides the criterion samples, the derived ns/candidate figures and the
-//! lane coverage land in `target/experiments/BENCH_scorer_throughput.json`.
+//! Besides the criterion samples, the derived ns/candidate figure lands in
+//! `target/experiments/BENCH_scorer_throughput.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hca_arch::ResourceTable;
 use hca_ddg::DdgAnalysis;
 use hca_pg::{ArchConstraints, Pg, PgNodeId};
 use hca_see::{
-    node_view, score_candidates_batched, score_if_assignable, CandList, CostWeights, LaneStats,
-    NodeView, PartialState, SeeContext,
+    node_view, score_if_assignable, CandList, CostWeights, NodeView, PartialState, SeeContext,
 };
 use std::time::Instant;
 
@@ -51,7 +49,7 @@ fn snapshot(ctx: &SeeContext<'_>) -> (PartialState, Vec<(hca_ddg::NodeId, NodeVi
     (st, views)
 }
 
-/// One full pass of the scalar reference over the snapshot.
+/// One full scoring pass over the snapshot; returns the accepted count.
 fn scalar_pass(
     ctx: &SeeContext<'_>,
     st: &PartialState,
@@ -66,23 +64,6 @@ fn scalar_pass(
                 cands.push((c, cost));
             }
         }
-        pushed += cands.len();
-    }
-    pushed
-}
-
-/// One full pass of the batched kernel over the snapshot.
-fn batched_pass(
-    ctx: &SeeContext<'_>,
-    st: &PartialState,
-    views: &[(hca_ddg::NodeId, NodeView)],
-    stats: &mut LaneStats,
-) -> usize {
-    let mut pushed = 0;
-    let mut cands = CandList::new();
-    for (n, view) in views {
-        cands.clear();
-        score_candidates_batched(ctx, st, view, *n, &mut cands, stats);
         pushed += cands.len();
     }
     pushed
@@ -117,52 +98,27 @@ fn bench_scorer_throughput(c: &mut Criterion) {
     // samples track the trend; these go to the experiment dump).
     const PASSES: u32 = 200;
     let t0 = Instant::now();
-    let mut scalar_pushed = 0;
+    let mut accepted = 0;
     for _ in 0..PASSES {
-        scalar_pushed = scalar_pass(&ctx, &st, &views);
+        accepted = scalar_pass(&ctx, &st, &views);
     }
     let scalar_ns = t0.elapsed().as_nanos() as f64 / f64::from(PASSES) / total_cands as f64;
-    let mut stats = LaneStats::default();
-    let t0 = Instant::now();
-    let mut batched_pushed = 0;
-    for _ in 0..PASSES {
-        stats = LaneStats::default();
-        batched_pushed = batched_pass(&ctx, &st, &views, &mut stats);
-    }
-    let batched_ns = t0.elapsed().as_nanos() as f64 / f64::from(PASSES) / total_cands as f64;
-    assert_eq!(
-        scalar_pushed, batched_pushed,
-        "both paths must accept the same candidate set"
-    );
-    let coverage =
-        stats.lanes_scored as f64 * 100.0 / (stats.lanes_scored + stats.scalar_tail).max(1) as f64;
     println!(
-        "scorer_throughput: {total_cands} candidates/pass, scalar {scalar_ns:.1} ns/cand, \
-         batched {batched_ns:.1} ns/cand ({:.2}x), lane coverage {coverage:.0}%",
-        scalar_ns / batched_ns.max(1e-9),
+        "scorer_throughput: {total_cands} candidates/pass ({accepted} accepted), \
+         {scalar_ns:.1} ns/cand"
     );
     #[derive(serde::Serialize)]
     struct Report {
         candidates_per_pass: usize,
+        accepted_per_pass: usize,
         scalar_ns_per_candidate: f64,
-        batched_ns_per_candidate: f64,
-        speedup: f64,
-        lanes_scored: usize,
-        lane_batches: usize,
-        scalar_tail: usize,
-        lane_coverage_pct: f64,
     }
     hca_bench::dump_bench_json(
         "scorer_throughput",
         &Report {
             candidates_per_pass: total_cands,
+            accepted_per_pass: accepted,
             scalar_ns_per_candidate: scalar_ns,
-            batched_ns_per_candidate: batched_ns,
-            speedup: scalar_ns / batched_ns.max(1e-9),
-            lanes_scored: stats.lanes_scored,
-            lane_batches: stats.lane_batches,
-            scalar_tail: stats.scalar_tail,
-            lane_coverage_pct: coverage,
         },
     );
 
@@ -170,12 +126,6 @@ fn bench_scorer_throughput(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("scalar", |b| {
         b.iter(|| scalar_pass(&ctx, std::hint::black_box(&st), &views))
-    });
-    group.bench_function("batched", |b| {
-        b.iter(|| {
-            let mut stats = LaneStats::default();
-            batched_pass(&ctx, std::hint::black_box(&st), &views, &mut stats)
-        })
     });
     group.finish();
 }

@@ -66,10 +66,6 @@ const HISTORY_COUNTERS: &[&str] = &[
     "see.arc_table_bytes",
     "see.state_arena_bytes",
     "see.state_clones",
-    "see.lanes_scored",
-    "see.lane_batches",
-    "see.scalar_tail",
-    "see.lane_fill_pct",
     "driver.subproblems",
     "driver.memo_hits",
     "driver.memo_misses",

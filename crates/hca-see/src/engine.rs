@@ -29,26 +29,6 @@ pub struct SeeConfig {
     pub max_route_hops: usize,
     /// Optional per-issue-slot load ceiling (see [`SeeContext::issue_cap`]).
     pub issue_cap: Option<u32>,
-    /// Prune frontier states that are strictly dominated by a sibling
-    /// (identical assignment and arc structure, componentwise no-better
-    /// scores). Heuristic — disable via this flag or the `HCA_NO_DOMINANCE`
-    /// environment variable to compare outcomes.
-    pub dominance: bool,
-    /// Score candidates through the batched lane kernel
-    /// ([`crate::assignable::score_candidates_batched`]) instead of one
-    /// scalar trial per candidate. Output is bit-identical either way; the
-    /// flag (or the `HCA_NO_BATCH` environment variable) exists so a
-    /// suspected batching regression can be bisected in the field.
-    pub batched_scoring: bool,
-    /// Candidate-count cutoff below which an expansion skips the batched
-    /// kernel (`None` = built-in default). Result-transparent; overridable
-    /// per process via `HCA_SCALAR_CUTOFF` so ROADMAP item 4's
-    /// re-measurement needs no rebuild.
-    pub scalar_cutoff: Option<usize>,
-    /// Lane-batch flush width, clamped to `1..=LANES` (`None` = the full
-    /// [`crate::assignable::LANES`]). Result-transparent; overridable per
-    /// process via `HCA_LANES`.
-    pub lane_width: Option<usize>,
     /// Admissible MII floor shared by the portfolio driver
     /// ([`crate::bounds::mii_lower_bound`]). Purely observational inside
     /// the beam: when the winning state's MII reaches the floor with zero
@@ -69,10 +49,6 @@ impl Default for SeeConfig {
             enable_router: true,
             max_route_hops: 3,
             issue_cap: None,
-            dominance: true,
-            batched_scoring: true,
-            scalar_cutoff: None,
-            lane_width: None,
             mii_bound: None,
         }
     }
@@ -250,18 +226,6 @@ pub struct SeeStats {
     /// High-water heap footprint of the state arena (retired `PartialState`
     /// buffers awaiting reuse by survivor materialisation).
     pub state_arena_bytes: usize,
-    /// Candidates scored through lane batches of the batched scoring
-    /// kernel. Zero when batching is off (`SeeConfig::batched_scoring` /
-    /// `HCA_NO_BATCH`).
-    pub lanes_scored: usize,
-    /// Lane batches flushed by the batched scoring kernel (each scores up
-    /// to [`crate::assignable::LANES`] candidates in one pass; sub-width
-    /// remainders flush as one partial batch at their real width).
-    pub lane_batches: usize,
-    /// Candidates scored by the scalar reference path while batching was
-    /// on: views the lane fold cannot express, plus expansions too small
-    /// to repay batch setup.
-    pub scalar_tail: usize,
     /// The winning state's MII matched the shared admissible floor
     /// ([`SeeConfig::mii_bound`]) with zero copies: the result is provably
     /// optimal and the portfolio driver may skip every remaining
@@ -406,25 +370,6 @@ impl<'a> See<'a> {
         stats.frontier_deduped +=
             crate::frontier::content_merge(&mut distinct, &mut slots, &mut freed);
         pool.put_all(&mut freed);
-        // Read the escape hatches once per run: a mid-run environment change
-        // must not make one search internally inconsistent.
-        let dominance_on = self.config.dominance && std::env::var_os("HCA_NO_DOMINANCE").is_none();
-        let batched_on = self.config.batched_scoring && std::env::var_os("HCA_NO_BATCH").is_none();
-        // Lane-kernel tuning knobs (result-transparent): environment beats
-        // config beats built-in defaults; read once so a mid-run change
-        // cannot make one search internally inconsistent.
-        let env_usize = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        let scalar_cutoff = env_usize("HCA_SCALAR_CUTOFF")
-            .or(self.config.scalar_cutoff)
-            .unwrap_or(crate::assignable::SCALAR_CUTOFF);
-        let lane_width = env_usize("HCA_LANES")
-            .or(self.config.lane_width)
-            .unwrap_or(crate::assignable::LANES)
-            .clamp(1, crate::assignable::LANES);
         let trace_on = self.tracer.is_enabled();
 
         for (step_idx, &n) in (0u32..).zip(order.nodes()) {
@@ -450,7 +395,7 @@ impl<'a> See<'a> {
             // Distinct states are independent; each hca-par worker owns a
             // contiguous chunk and results come back in input order, so the
             // merge below is scheduling-independent.
-            let scored: Vec<(CandList, CandidatePruning, crate::filters::LaneStats)> =
+            let scored: Vec<(CandList, CandidatePruning)> =
                 hca_par::par_map_mut(&mut distinct, |st| {
                     // Operand/result placements are candidate-independent:
                     // read them once per state, not once per cluster probe.
@@ -462,69 +407,36 @@ impl<'a> See<'a> {
                     // port/budget conditions that depend on mutable state.
                     let view = crate::assignable::node_view(&self.ctx, st, n);
                     let mut cands: CandList = CandList::new();
-                    let mut lane_stats = crate::filters::LaneStats::default();
-                    if batched_on {
-                        // Batched lane kernel: gather the surviving
-                        // candidates into contiguous lane buffers, score
-                        // LANES per pass — bit-identical to the scalar
-                        // trials (asserted per candidate in debug builds).
-                        crate::assignable::score_candidates_batched_tuned(
-                            &self.ctx,
-                            st,
-                            &view,
-                            n,
-                            &mut cands,
-                            &mut lane_stats,
-                            scalar_cutoff,
-                            lane_width,
-                        );
-                    } else {
-                        for c in view.candidates() {
-                            // Mutation-free trial: one pass re-checks the
-                            // dynamic screens and replays apply's aggregate
-                            // arithmetic against locals, bit-exact with the
-                            // journalled apply-read-undo path (asserted
-                            // below).
-                            let scored =
-                                crate::assignable::score_if_assignable(&self.ctx, st, &view, n, c);
-                            #[cfg(debug_assertions)]
-                            {
+                    for c in view.candidates() {
+                        // Mutation-free trial: one pass re-checks the dynamic
+                        // screens and replays apply's aggregate arithmetic
+                        // against locals, bit-exact with the journalled
+                        // apply-read-undo path (asserted below).
+                        let scored =
+                            crate::assignable::score_if_assignable(&self.ctx, st, &view, n, c);
+                        #[cfg(debug_assertions)]
+                        {
+                            debug_assert_eq!(
+                                scored.is_some(),
+                                crate::assignable::assignable_dynamic(&self.ctx, st, &view, n, c),
+                                "fused screen disagrees with assignable_dynamic for {n:?} @ {c:?}"
+                            );
+                            if let Some(cost) = scored {
+                                let undo = st.apply_assign_logged(&self.ctx, n, c);
                                 debug_assert_eq!(
-                                    scored.is_some(),
-                                    crate::assignable::assignable_dynamic(
-                                        &self.ctx,
-                                        st,
-                                        &view,
-                                        n,
-                                        c
-                                    ),
-                                    "fused screen disagrees with assignable_dynamic for {n:?} @ {c:?}"
+                                    cost.to_bits(),
+                                    st.cost.to_bits(),
+                                    "score_if_assignable diverged from apply for {n:?} @ {c:?}"
                                 );
-                                if let Some(cost) = scored {
-                                    let undo = st.apply_assign_logged(&self.ctx, n, c);
-                                    debug_assert_eq!(
-                                        cost.to_bits(),
-                                        st.cost.to_bits(),
-                                        "score_if_assignable diverged from apply for {n:?} @ {c:?}"
-                                    );
-                                    st.undo_assign(&self.ctx, undo);
-                                }
+                                st.undo_assign(&self.ctx, undo);
                             }
-                            let Some(cost) = scored else { continue };
-                            cands.push((c, cost));
                         }
+                        let Some(cost) = scored else { continue };
+                        cands.push((c, cost));
                     }
                     let pruning = cand_filter.apply(&mut cands);
-                    (cands, pruning, lane_stats)
+                    (cands, pruning)
                 });
-            // Lane counters accrue once per *distinct* state (the lane work
-            // ran once per distinct state too); `par_map_mut` returns in
-            // input order, so the sums are thread-count invariant.
-            for (_, _, ls) in &scored {
-                stats.lanes_scored += ls.lanes_scored;
-                stats.lane_batches += ls.lane_batches;
-                stats.scalar_tail += ls.scalar_tail;
-            }
 
             // Merge deterministically as (beam slot, cluster, cost) tuples,
             // in (beam order, per-state candidate order) — the exact
@@ -533,7 +445,7 @@ impl<'a> See<'a> {
             // on behalf of each beam position it stands in for.
             let mut merged: Vec<(usize, PgNodeId, f64)> = Vec::new();
             for (si, &di) in slots.iter().enumerate() {
-                let (cands, pruning, _) = &scored[di];
+                let (cands, pruning) = &scored[di];
                 stats.cand_rejected_margin += pruning.by_margin;
                 stats.cand_rejected_branch += pruning.by_branch;
                 merged.extend(cands.iter().map(|&(c, cost)| (si, c, cost)));
@@ -667,15 +579,12 @@ impl<'a> See<'a> {
                 pool.put_all(&mut freed);
             }
 
-            if dominance_on {
-                let removed =
-                    crate::frontier::prune_dominated(&mut distinct, &mut slots, &mut freed);
-                pool.put_all(&mut freed);
-                stats.dominance_pruned += removed;
-                // Dominance removals count as pruned states so the
-                // explored == pruned + Σ occupancy invariant keeps holding.
-                stats.states_pruned += removed;
-            }
+            let removed = crate::frontier::prune_dominated(&mut distinct, &mut slots, &mut freed);
+            pool.put_all(&mut freed);
+            stats.dominance_pruned += removed;
+            // Dominance removals count as pruned states so the
+            // explored == pruned + Σ occupancy invariant keeps holding.
+            stats.states_pruned += removed;
 
             // Memory accounting stays in beam terms: each slot charges its
             // state's footprint, as the materialised beam would have.

@@ -21,8 +21,8 @@
 //!   the critical penalty depends on creation-time slack, and removing a
 //!   state reshapes the beam for everyone else — so this only fires on
 //!   states that differ in scoring history alone. It is still a heuristic
-//!   (the pruned state's descendants vanish from the beam), which is why
-//!   the engine keeps it behind `SeeConfig::dominance`/`HCA_NO_DOMINANCE`.
+//!   (the pruned state's descendants vanish from the beam); the engine
+//!   always runs it, and EXPERIMENTS.md P2 found it never fires on Table-1.
 //!
 //! Both passes run on signature-sorted dense index slices (no hashing of
 //! state content), and both hand every folded/pruned state back through a

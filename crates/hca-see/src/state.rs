@@ -161,32 +161,6 @@ impl ArcVals {
         self.len(src, dst) == 0
     }
 
-    /// Number of values on the *indexed* arc `id` — the column accessor the
-    /// batched scorer's gather pass uses once it holds an arc id from
-    /// [`ArcIndex::ids_row`], skipping the id-matrix lookup and the
-    /// off-index spill fallback of [`ArcVals::len`].
-    #[inline]
-    pub fn len_by_id(&self, id: u32) -> usize {
-        usize::from(self.lens[id as usize])
-    }
-
-    /// Does the *indexed* arc `id` carry value `v`? Equivalent to
-    /// [`ArcVals::contains`] on the arc's endpoints, minus the id lookup.
-    #[inline]
-    pub fn contains_by_id(&self, id: u32, v: NodeId) -> bool {
-        let idx = id as usize;
-        let len = usize::from(self.lens[idx]);
-        let inline = &self.slots[idx * ARC_CAP..idx * ARC_CAP + len.min(ARC_CAP)];
-        if inline.contains(&v) {
-            return true;
-        }
-        len > ARC_CAP && {
-            let (src, dst) = self.index.pair(id);
-            self.spill_pos(arc_key(src, dst))
-                .is_ok_and(|i| self.spill[i].1.contains(&v))
-        }
-    }
-
     /// Does arc `src → dst` carry value `v`?
     #[inline]
     pub fn contains(&self, src: PgNodeId, dst: PgNodeId, v: NodeId) -> bool {
