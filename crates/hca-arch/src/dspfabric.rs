@@ -310,13 +310,6 @@ impl DspFabric {
         pa.iter().zip(&pb).take_while(|(x, y)| x == y).count()
     }
 
-    /// Aggregate resource table of the *equivalent unified machine* (same
-    /// total resources in a single cluster) — the paper's theoretical optimum
-    /// reference in §5.
-    pub fn unified_rt(&self) -> ResourceTable {
-        ResourceTable::of_cns(self.num_cns() as u32)
-    }
-
     /// Number of parallel shortest paths between two CNs sitting across the
     /// level-0 MUXes of the standard machine — the paper's `K²M²N²` explosion
     /// argument (§4). Returns the product of squared capacities along the

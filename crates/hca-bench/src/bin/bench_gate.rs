@@ -1,6 +1,6 @@
 //! **Bench regression gate** — diffs a fresh run of the fixed gate workload
 //! (full HCA over the four Table-1 kernels, a 512-node synthetic scaling
-//! case, and `+race` portfolio variants of the paper kernels) against the
+//! case, and `+exact` portfolio variants of the paper kernels) against the
 //! checked-in `BENCH_baseline.json` and exits non-zero when any case
 //! regresses by more than the tolerance (default 25% wall-clock).
 //!
@@ -24,7 +24,7 @@
 //! this job as non-blocking and the baseline documents the reference
 //! machine's trajectory rather than a portable truth.
 
-use hca_core::{run_hca, run_hca_obs, HcaConfig, PortfolioConfig};
+use hca_core::{run_hca, run_hca_obs, HcaConfig, PortfolioMode};
 use hca_obs::Obs;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -78,7 +78,6 @@ const HISTORY_COUNTERS: &[&str] = &[
     "portfolio.exact_runs",
     "portfolio.exact_wins",
     "portfolio.exact_proofs",
-    "portfolio.exact_timeouts",
     "portfolio.gap_known",
     "portfolio.gap_sum",
     "portfolio.guard_runs",
@@ -130,13 +129,13 @@ fn median(samples: &[f64]) -> f64 {
 /// rounds that alternate over the cases. Beyond the four paper kernels, a
 /// seeded 512-node synthetic DAG stresses the sub-problem memoization and
 /// frontier caches at a size where the Table-1 loops barely exercise them,
-/// and `+race` variants of the paper kernels time the exact/beam portfolio
+/// and `+exact` variants of the paper kernels time the exact/beam portfolio
 /// (and feed its `portfolio.*` counters into the history trajectory).
 fn measure(interleave: Option<usize>) -> Vec<GateCase> {
     let fabric = hca_bench::paper_fabric();
     let base = HcaConfig::default();
-    let race = HcaConfig {
-        portfolio: PortfolioConfig::race(),
+    let exact = HcaConfig {
+        portfolio: PortfolioMode::ExactSmall,
         ..HcaConfig::default()
     };
     let mut workload: Vec<(String, hca_ddg::Ddg, HcaConfig)> = hca_kernels::table1_kernels()
@@ -147,7 +146,7 @@ fn measure(interleave: Option<usize>) -> Vec<GateCase> {
         workload.push((format!("synthetic{n}"), ddg, base));
     }
     for k in hca_kernels::table1_kernels() {
-        workload.push((format!("{}+race", k.name), k.ddg, race));
+        workload.push((format!("{}+exact", k.name), k.ddg, exact));
     }
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); workload.len()];
     match interleave {

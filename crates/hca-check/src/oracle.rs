@@ -18,7 +18,6 @@
 
 use hca_arch::DspFabric;
 use hca_ddg::{analysis, Ddg, NodeId, Opcode};
-use hca_par::CancelToken;
 use rustc_hash::FxHashMap;
 
 /// Oracle search limits.
@@ -84,10 +83,6 @@ struct Search<'a> {
     best: u32,
     steps: u64,
     budget: u64,
-    /// Cooperative cancellation, polled at branch points.
-    cancel: CancelToken,
-    cancel_count: u32,
-    cancelled: bool,
     /// An incumbent reached the provable floor — nothing can beat it.
     done: bool,
 }
@@ -144,10 +139,6 @@ impl Search<'_> {
         if self.steps > self.budget {
             return;
         }
-        if self.cancel.check_stride(&mut self.cancel_count) {
-            self.cancelled = true;
-            return;
-        }
         if depth == self.order.len() {
             self.best = self.best.min(cur_max.max(1));
             // Proven-optimal early exit: at the completion lookahead no
@@ -191,7 +182,7 @@ impl Search<'_> {
                 let i = self.in_sets[cn].iter().position(|&x| x == pc).unwrap();
                 self.in_sets[cn].swap_remove(i);
             }
-            if self.steps > self.budget || self.done || self.cancelled {
+            if self.steps > self.budget || self.done {
                 return;
             }
         }
@@ -208,26 +199,23 @@ pub fn flat_optimal_mii(
     fabric: &DspFabric,
     cfg: &OracleConfig,
 ) -> Option<OracleVerdict> {
-    flat_optimal_mii_seeded(ddg, fabric, cfg, None, &CancelToken::new())
+    flat_optimal_mii_seeded(ddg, fabric, cfg, None)
 }
 
-/// [`flat_optimal_mii`] promoted to a portfolio-grade backend: an incumbent
-/// seed plus cooperative cancellation.
+/// [`flat_optimal_mii`] seeded with an incumbent.
 ///
 /// `incumbent_load` must be the max-load of a **known-feasible** flat
 /// assignment (seeding an unachievable value would make an `Exact` claim
 /// unsound); the search then explores only strictly better assignments,
-/// which is what makes racing it against a beam result cheap. `cancel` is
-/// polled at branch points ([`CancelToken::check_stride`]) — a fired token
-/// (deadline or external) downgrades the verdict to `Upper`, exactly like
-/// an exhausted step budget, unless the search had already proven its
-/// incumbent optimal (floor hit or completion-lookahead match).
+/// which is what makes checking a beam result against it cheap. An
+/// exhausted step budget downgrades the verdict to `Upper` unless the
+/// search had already proven its incumbent optimal (floor hit or
+/// completion-lookahead match).
 pub fn flat_optimal_mii_seeded(
     ddg: &Ddg,
     fabric: &DspFabric,
     cfg: &OracleConfig,
     incumbent_load: Option<u32>,
-    cancel: &CancelToken,
 ) -> Option<OracleVerdict> {
     let n = ddg.num_nodes();
     if n == 0 {
@@ -267,9 +255,6 @@ pub fn flat_optimal_mii_seeded(
         best: incumbent_load.map_or(n as u32 + 1, |b| b.min(n as u32 + 1)),
         steps: 0,
         budget: cfg.step_budget,
-        cancel: cancel.clone(),
-        cancel_count: 0,
-        cancelled: false,
         done: false,
     };
     // Seeded proven-optimal short-circuit: a feasible incumbent already at
@@ -283,7 +268,7 @@ pub fn flat_optimal_mii_seeded(
     search.recurse(0, 0);
     let best_load = search.best.min(n as u32);
     let mii = search.floor.max(best_load);
-    if (search.steps > search.budget || search.cancelled) && !search.done {
+    if search.steps > search.budget && !search.done {
         Some(OracleVerdict::Upper(mii))
     } else {
         Some(OracleVerdict::Exact(mii))
@@ -354,19 +339,24 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_search_downgrades_to_upper() {
-        // A pre-fired token stops the search at its very first branch
-        // point; the trivial all-on-one-CN incumbent survives as an Upper.
+    fn exhausted_step_budget_downgrades_to_upper() {
+        // 8 nodes need 9 steps to reach the first leaf: a 4-step budget
+        // cuts the search before it, and the trivial all-on-one-CN
+        // incumbent survives as an Upper.
         let mut b = DdgBuilder::default();
         for _ in 0..8 {
             b.node(Opcode::Add);
         }
         let ddg = b.finish();
         let f = DspFabric::standard(8, 8, 8);
-        let token = CancelToken::new();
-        token.cancel();
-        let v = flat_optimal_mii_seeded(&ddg, &f, &OracleConfig::default(), None, &token).unwrap();
-        assert!(matches!(v, OracleVerdict::Upper(_)), "got {v:?}");
+        let cfg = OracleConfig {
+            step_budget: 4,
+            ..OracleConfig::default()
+        };
+        assert_eq!(
+            flat_optimal_mii_seeded(&ddg, &f, &cfg, None),
+            Some(OracleVerdict::Upper(8))
+        );
     }
 
     #[test]
@@ -379,10 +369,13 @@ mod tests {
         }
         let ddg = b.finish();
         let f = DspFabric::standard(8, 8, 8);
-        let token = CancelToken::new();
-        token.cancel(); // any actual search would be cut and report Upper
-        let v =
-            flat_optimal_mii_seeded(&ddg, &f, &OracleConfig::default(), Some(1), &token).unwrap();
+        // With no step budget any actual search would be cut and report
+        // Upper.
+        let cfg = OracleConfig {
+            step_budget: 0,
+            ..OracleConfig::default()
+        };
+        let v = flat_optimal_mii_seeded(&ddg, &f, &cfg, Some(1)).unwrap();
         assert_eq!(v, OracleVerdict::Exact(1));
     }
 
@@ -400,7 +393,6 @@ mod tests {
             &f,
             &OracleConfig::default(),
             Some(ddg.num_nodes() as u32),
-            &CancelToken::new(),
         )
         .unwrap();
         assert_eq!(plain.mii(), seeded.mii());

@@ -11,7 +11,7 @@
 //! under `--ignored` in release mode, where it is cheap.
 
 use hca_check::random_kernel;
-use hca_core::{run_hca_obs, HcaConfig, PortfolioConfig};
+use hca_core::{run_hca_obs, HcaConfig, PortfolioMode};
 use hca_obs::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,10 +27,10 @@ fn sweep(count: u64, base_seed: u64, max_nodes: usize) {
         let beam = run_hca_obs(&ddg, &fabric, &HcaConfig::strict(), &Obs::disabled())
             .unwrap_or_else(|e| panic!("seed {seed}: beam-only Strict run failed: {e}"));
 
-        // ExactSmall is the deterministic portfolio mode (no deadline), so
-        // the sweep itself is reproducible.
+        // The exact backend cuts only on its node budget, so the sweep
+        // itself is reproducible.
         let cfg = HcaConfig {
-            portfolio: PortfolioConfig::exact_small(),
+            portfolio: PortfolioMode::ExactSmall,
             ..HcaConfig::strict()
         };
         let obs = Obs::enabled();

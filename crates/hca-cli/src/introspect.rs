@@ -206,7 +206,6 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
             let label = match *why {
                 "proven" => "proven optimal (lower bound hit)",
                 "exhausted" => "search space exhausted",
-                "deadline" => "deadline expired",
                 "budget" => "node budget exhausted",
                 other => other,
             };

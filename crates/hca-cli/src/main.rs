@@ -143,10 +143,9 @@ options:
   --machine N,M,K    MUX capacities of the 64-CN machine (default 8,8,8),
                      or a full hierarchy spec like 2x4x4x4@8,8,8,8
   --portfolio        run the config portfolio, keep the best result
-  --solver MODE      sub-problem solver: beam-only (default), exact-small
-                     (deterministic exact backend on small sub-problems) or
-                     race (exact-small plus a wall-clock deadline); the
-                     result is never worse than beam-only on MII
+  --solver MODE      sub-problem solver: beam-only (default) or exact-small
+                     (deterministic exact backend on small sub-problems);
+                     the result is never worse than beam-only on MII
   --sms              use Swing Modulo Scheduling instead of iterative
   --trip T           iterations to simulate (default 16)
   --unroll F         unroll the loop body F times before everything else
@@ -277,16 +276,13 @@ impl Options {
                 }
                 "--portfolio" => o.portfolio = true,
                 "--solver" => {
-                    let v = it
-                        .next()
-                        .ok_or("--solver needs beam-only|exact-small|race")?;
+                    let v = it.next().ok_or("--solver needs beam-only|exact-small")?;
                     o.solver = match v.as_str() {
                         "beam-only" => PortfolioMode::BeamOnly,
                         "exact-small" => PortfolioMode::ExactSmall,
-                        "race" => PortfolioMode::Race,
                         other => {
                             return Err(format!(
-                                "bad --solver value `{other}` (want beam-only, exact-small or race)"
+                                "bad --solver value `{other}` (want beam-only or exact-small)"
                             ))
                         }
                     };
@@ -490,15 +486,10 @@ impl Options {
     }
 
     /// The [`HcaConfig`] the flags ask for: defaults plus the `--solver`
-    /// portfolio mode (with its mode-specific deadline/budget defaults).
+    /// portfolio mode.
     pub fn hca_config(&self) -> HcaConfig {
-        let portfolio = match self.solver {
-            PortfolioMode::BeamOnly => hca_core::PortfolioConfig::default(),
-            PortfolioMode::ExactSmall => hca_core::PortfolioConfig::exact_small(),
-            PortfolioMode::Race => hca_core::PortfolioConfig::race(),
-        };
         HcaConfig {
-            portfolio,
+            portfolio: self.solver,
             ..HcaConfig::default()
         }
     }

@@ -89,6 +89,14 @@ fn bad_inputs_fail_gracefully() {
 }
 
 #[test]
+fn removed_race_solver_is_a_bad_solver_value() {
+    let (ok, _, stderr) = hca(&["clusterize", "fir2dim", "--solver", "race"]);
+    assert!(!ok);
+    assert!(stderr.contains("bad --solver value `race`"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn rcp_subcommand_reports_ring_assignment() {
     let (ok, stdout, stderr) = hca(&["rcp", "dot_product"]);
     assert!(ok, "{stderr}");

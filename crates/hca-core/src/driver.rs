@@ -25,10 +25,6 @@ use std::fmt;
 /// validates legality").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ValidationLevel {
-    /// Skip the coherency checker entirely. [`HcaResult::coherency`] is an
-    /// empty (vacuously legal) report; use only when the caller re-validates
-    /// or benchmarks the driver alone.
-    Off,
     /// Run the checker and *report* its verdict in the result — the
     /// historical behaviour, and the default.
     #[default]
@@ -55,6 +51,12 @@ impl ValidationLevel {
 }
 
 /// Which solver backends the driver runs per sub-problem.
+///
+/// Whatever the mode, the beam runs first and the exact backend only
+/// replaces its result when strictly better on the shared solution score
+/// (`16·MII + copies`), not worse on MII, mappable, and passing
+/// [`hca_pg::ArchConstraints::check`] — so the portfolio's MII is never
+/// worse than beam-alone, and bit-identical to it whenever the beam wins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PortfolioMode {
     /// The historical behaviour: the beam escalation ladder alone. No
@@ -62,83 +64,31 @@ pub enum PortfolioMode {
     /// pre-portfolio driver.
     #[default]
     BeamOnly,
-    /// Beam plus the exact branch-and-bound on sub-problems of at most
-    /// [`PortfolioConfig::exact_max_nodes`] working-set nodes, cut only by
-    /// the deterministic node budget (any configured deadline is ignored),
+    /// Beam plus the exact branch-and-bound on sub-problems of at most 12
+    /// working-set nodes, cut only by a deterministic 200,000-node budget,
     /// so runs are reproducible. Admissible MII floors are shared with the
     /// beam for the proven-optimal tier skip.
     ExactSmall,
-    /// [`ExactSmall`](PortfolioMode::ExactSmall) with the wall-clock
-    /// deadline ([`PortfolioConfig::exact_deadline_ms`]) armed as a
-    /// cooperative cancellation safety net: the exact side races the clock
-    /// and concedes to the beam incumbent when it fires. Latency-bounded,
-    /// at the price of run-to-run determinism of the *statistics* (the
-    /// kept result is still always legal and never worse on MII).
-    Race,
 }
 
-/// Per-sub-problem exact/beam portfolio knobs (see [`PortfolioMode`]).
-///
-/// Whatever the mode, the beam runs first and the exact backend only
-/// replaces its result when strictly better on the shared solution score
-/// (`16·MII + copies`), not worse on MII, mappable, and passing
-/// [`hca_pg::ArchConstraints::check`] — so the portfolio's MII is never
-/// worse than beam-alone, and bit-identical to it whenever the beam wins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PortfolioConfig {
-    /// Backend selection policy.
-    pub mode: PortfolioMode,
-    /// Largest working set (in nodes) the exact backend attempts; beyond
-    /// it the search space is hopeless and only the beam runs.
-    pub exact_max_nodes: usize,
-    /// Deterministic branch-node budget of one exact run (the primary cut;
-    /// machine-independent).
-    pub exact_node_budget: u64,
-    /// Wall-clock deadline in milliseconds per exact run, armed only under
-    /// [`PortfolioMode::Race`]. `0` disarms it even there.
-    pub exact_deadline_ms: u64,
-}
+/// Largest working set (in nodes) the exact backend attempts; beyond it the
+/// search space is hopeless and only the beam runs.
+const EXACT_MAX_NODES: usize = 12;
 
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            mode: PortfolioMode::BeamOnly,
-            exact_max_nodes: 12,
-            exact_node_budget: 200_000,
-            exact_deadline_ms: 50,
-        }
-    }
-}
+/// Deterministic branch-node budget of one exact run (machine-independent).
+const EXACT_NODE_BUDGET: u64 = 200_000;
 
-impl PortfolioConfig {
-    /// Deterministic exact/beam portfolio ([`PortfolioMode::ExactSmall`]).
-    pub fn exact_small() -> Self {
-        PortfolioConfig {
-            mode: PortfolioMode::ExactSmall,
-            ..PortfolioConfig::default()
-        }
-    }
-
-    /// Deadline-raced portfolio ([`PortfolioMode::Race`]).
-    pub fn race() -> Self {
-        PortfolioConfig {
-            mode: PortfolioMode::Race,
-            ..PortfolioConfig::default()
-        }
-    }
-}
+/// Per-issue-slot load ceiling of ladder tier 0, as slack over the
+/// unified-machine theoretical MII: every cluster may hold at most
+/// `theoretical + slack` ops per issue slot. Forces the wide spread the
+/// machine is built for; tier 1 relaxes it by 2 and later tiers drop it.
+const ISSUE_CAP_SLACK: u32 = 1;
 
 /// HCA tunables.
 #[derive(Clone, Copy, Debug)]
 pub struct HcaConfig {
     /// Configuration of every per-level SEE run.
     pub see: SeeConfig,
-    /// Per-issue-slot load ceiling, as slack over the unified-machine
-    /// theoretical MII: every cluster may hold at most
-    /// `theoretical + slack` ops per issue slot. Forces the wide spread the
-    /// machine is built for; relaxed automatically on retry escalations.
-    /// `None` disables the ceiling.
-    pub issue_cap_slack: Option<u32>,
     /// Post-pass validation policy (see [`ValidationLevel`]).
     pub validation: ValidationLevel,
     /// Memoise solved sub-problems under a renumbering-equivariant
@@ -154,21 +104,20 @@ pub struct HcaConfig {
     ///
     /// [`memo`]: HcaConfig::memo
     pub memo_budget: usize,
-    /// Exact/beam portfolio policy (see [`PortfolioConfig`]). The default
+    /// Exact/beam portfolio policy (see [`PortfolioMode`]). The default
     /// [`PortfolioMode::BeamOnly`] leaves the driver bit-identical to its
     /// pre-portfolio behaviour.
-    pub portfolio: PortfolioConfig,
+    pub portfolio: PortfolioMode,
 }
 
 impl Default for HcaConfig {
     fn default() -> Self {
         HcaConfig {
             see: SeeConfig::default(),
-            issue_cap_slack: Some(1),
             validation: ValidationLevel::Report,
             memo: true,
             memo_budget: crate::memo::Memo::DEFAULT_BUDGET,
-            portfolio: PortfolioConfig::default(),
+            portfolio: PortfolioMode::BeamOnly,
         }
     }
 }
@@ -516,15 +465,12 @@ fn run_hca_inner(
     tracer: &SearchTracer,
 ) -> Result<HcaResult, HcaError> {
     let res = run_hca_once(ddg, fabric, config, obs, shared_memo, tracer)?;
-    if config.portfolio.mode == PortfolioMode::BeamOnly || res.stats.exact_wins == 0 {
+    if config.portfolio == PortfolioMode::BeamOnly || res.stats.exact_wins == 0 {
         return Ok(res);
     }
     obs.counter_add("portfolio.guard_runs", 1);
     let beam_cfg = HcaConfig {
-        portfolio: PortfolioConfig {
-            mode: PortfolioMode::BeamOnly,
-            ..config.portfolio
-        },
+        portfolio: PortfolioMode::BeamOnly,
         ..*config
     };
     // The guard run is untraced: a search trace describes one solve, and
@@ -645,15 +591,10 @@ fn run_hca_once(
             ..TraceRecord::default()
         }
     });
-    let coherency = if config.validation == ValidationLevel::Off {
-        CoherencyReport::default()
-    } else {
-        let place = placement.clone();
-        let coherency_span = obs.span("driver", "coherency");
-        let report = check_coherency(fabric, &topology, ddg, &move |n| place[&n]);
-        drop(coherency_span);
-        report
-    };
+    let place = placement.clone();
+    let coherency_span = obs.span("driver", "coherency");
+    let coherency = check_coherency(fabric, &topology, ddg, &move |n| place[&n]);
+    drop(coherency_span);
     let coherency = match config.validation.enforce(coherency) {
         Ok(report) => report,
         Err(e) => {
@@ -794,21 +735,20 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     // proven-optimal tier skip below and the exact search's pruning cutoff.
     // BeamOnly skips even the computation so the historical mode stays
     // literally untouched.
-    let bound: Option<u32> = (config.portfolio.mode != PortfolioMode::BeamOnly).then(|| {
+    let bound: Option<u32> = (config.portfolio != PortfolioMode::BeamOnly).then(|| {
         let lb = mii_lower_bound(ddg, analysis, &pg, &constraints, Some(&sp.working_set));
         obs.counter_add("portfolio.bounds_computed", 1);
         lb.overall()
     });
     let mut base = config.see;
     base.mii_bound = bound.or(base.mii_bound);
-    let cap = config.issue_cap_slack;
     let tiers: [SeeConfig; 5] = [
         SeeConfig {
-            issue_cap: cap.map(|s| theo_mii + s),
+            issue_cap: Some(theo_mii + ISSUE_CAP_SLACK),
             ..base
         },
         SeeConfig {
-            issue_cap: cap.map(|s| theo_mii + s + 2),
+            issue_cap: Some(theo_mii + ISSUE_CAP_SLACK + 2),
             beam_width: base.beam_width * 8,
             branch_factor: base.branch_factor * 2,
             candidate_margin: base.candidate_margin * 4.0,
@@ -934,8 +874,9 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                 // Copies dominate downstream cost (each becomes receives,
                 // ports and wires one level down), so weigh them against
                 // the local MII estimate rather than tie-breaking on it.
-                let score =
-                    |o: &hca_see::SeeOutcome| 16 * o.est_mii as usize + o.assigned.total_copies();
+                let score = |o: &hca_see::SeeOutcome| {
+                    solution_score(o.est_mii, o.assigned.total_copies() as u32)
+                };
                 let better = match &solved {
                     None => true,
                     Some((best, _)) => score(&outcome) < score(best),
@@ -1050,7 +991,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         drop(fallback_span);
     }
 
-    // Exact backend: on small sub-problems, race the branch-and-bound
+    // Exact backend: on small sub-problems, pit the branch-and-bound
     // against the beam incumbent. Seeded with the beam's score it only ever
     // returns strictly better solutions; acceptance additionally requires a
     // no-worse MII, a successful Mapper run and a from-scratch
@@ -1064,29 +1005,20 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             o.est_mii,
         )
     });
-    let pf = &config.portfolio;
     if let Some((beam_score, beam_mii)) = beam_key {
-        if pf.mode != PortfolioMode::BeamOnly
+        if config.portfolio == PortfolioMode::ExactSmall
             && !bound_exit
             && !sp.working_set.is_empty()
-            && sp.working_set.len() <= pf.exact_max_nodes
+            && sp.working_set.len() <= EXACT_MAX_NODES
         {
             obs.counter_add("portfolio.exact_runs", 1);
-            let cancel = if pf.mode == PortfolioMode::Race && pf.exact_deadline_ms > 0 {
-                hca_par::CancelToken::with_deadline(std::time::Duration::from_millis(
-                    pf.exact_deadline_ms,
-                ))
-            } else {
-                hca_par::CancelToken::new()
-            };
             let exact_t0 = trace_on.then(std::time::Instant::now);
             let exact_span = obs.span("see", "exact");
             let exact_see = See::new(ddg, analysis, &pg, constraints, SeeConfig::exhaustive());
             let run = exact_see.run_exact(
                 Some(&sp.working_set),
                 &ExactConfig {
-                    node_budget: pf.exact_node_budget,
-                    cancel,
+                    node_budget: EXACT_NODE_BUDGET,
                     incumbent_score: Some(beam_score),
                     floor: bound.unwrap_or(1),
                     ..ExactConfig::default()
@@ -1095,9 +1027,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             drop(exact_span);
             if let Ok(ex) = run {
                 res.stats.see_states += usize::try_from(ex.nodes_visited).unwrap_or(usize::MAX);
-                if ex.cancelled {
-                    obs.counter_add("portfolio.exact_timeouts", 1);
-                }
                 if ex.mii_proven {
                     obs.counter_add("portfolio.exact_proofs", 1);
                 }
@@ -1148,8 +1077,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                         "proven"
                     } else if ex.exhausted {
                         "exhausted"
-                    } else if ex.cancelled {
-                        "deadline"
                     } else {
                         "budget"
                     };
@@ -1496,26 +1423,12 @@ mod tests {
     }
 
     #[test]
-    fn validation_off_skips_the_checker() {
-        let ddg = small_kernel();
-        let fabric = DspFabric::standard(8, 8, 8);
-        let cfg = HcaConfig {
-            validation: ValidationLevel::Off,
-            ..HcaConfig::default()
-        };
-        let res = run_hca(&ddg, &fabric, &cfg).unwrap();
-        // The report is vacuously empty — Off means "trust me".
-        assert!(res.coherency.violations.is_empty());
-        assert!(res.coherency.topology_errors.is_empty());
-    }
-
-    #[test]
     fn portfolio_exact_small_never_worse_and_deterministic() {
         let ddg = small_kernel();
         let fabric = DspFabric::two_level(4, 4, 4);
         let beam = run_hca(&ddg, &fabric, &HcaConfig::strict()).unwrap();
         let cfg = HcaConfig {
-            portfolio: PortfolioConfig::exact_small(),
+            portfolio: PortfolioMode::ExactSmall,
             ..HcaConfig::strict()
         };
         let a = run_hca(&ddg, &fabric, &cfg).unwrap();
@@ -1527,7 +1440,8 @@ mod tests {
             a.mii.final_mii,
             beam.mii.final_mii
         );
-        // ExactSmall never arms the deadline: bit-identical replays.
+        // The exact search cuts only on its node budget: bit-identical
+        // replays.
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.mii, b.mii);
         assert_eq!(a.stats, b.stats);
@@ -1538,7 +1452,7 @@ mod tests {
         let ddg = small_kernel();
         let fabric = DspFabric::standard(8, 8, 8);
         let cfg = HcaConfig {
-            portfolio: PortfolioConfig::race(),
+            portfolio: PortfolioMode::ExactSmall,
             ..HcaConfig::strict()
         };
         let obs = Obs::enabled();

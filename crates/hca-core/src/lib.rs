@@ -40,7 +40,7 @@ pub mod report;
 pub use coherency::{check_coherency, CoherencyReport, Violation};
 pub use driver::{
     run_hca, run_hca_obs, run_hca_portfolio, run_hca_portfolio_obs, run_hca_shared, run_hca_traced,
-    HcaConfig, HcaError, HcaResult, HcaStats, PortfolioConfig, PortfolioMode, ValidationLevel,
+    HcaConfig, HcaError, HcaResult, HcaStats, PortfolioMode, ValidationLevel,
 };
 pub use flat::run_flat;
 pub use memo::{Memo, SNAPSHOT_VERSION};

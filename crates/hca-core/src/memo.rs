@@ -23,11 +23,9 @@
 //! * the full solving context — every result-affecting
 //!   [`SeeConfig`](hca_see::SeeConfig) field (the escalation tiers are pure
 //!   functions of it; the result-transparent `mii_bound` is deliberately
-//!   exempt), the issue-cap slack, validation level, the full
-//!   [`PortfolioConfig`](crate::PortfolioConfig) (mode, exact size/budget
-//!   caps and the deadline — a deadline-raced entry must never answer a
-//!   deterministic run), the unified-machine theoretical MII, `MIIRec`,
-//!   and the hierarchy depth;
+//!   exempt), the validation level, the
+//!   [`PortfolioMode`](crate::PortfolioMode), the unified-machine
+//!   theoretical MII, `MIIRec`, and the hierarchy depth;
 //! * the working set in canonical numbering (nodes renumbered by sorted
 //!   `NodeId` rank; externals by first appearance), including the *given*
 //!   working-set order, per-node opcodes, and full pred/succ edge lists in
@@ -117,7 +115,7 @@ const NUM_SHARDS: usize = 16;
 /// value layout changes: [`Memo::load`] rejects (discards) any snapshot
 /// whose version differs, because keys from an older encoding could alias
 /// current ones and rehydrate stale results.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Sentinel for "no LRU neighbour".
 const NIL: usize = usize::MAX;
@@ -539,18 +537,12 @@ pub(crate) fn canonicalise(
         s.weights.route.to_bits(),
         s.priority as u64,
         u64::from(s.enable_router),
-        s.max_route_hops as u64,
         s.issue_cap.map_or(u64::MAX, u64::from),
-        config.issue_cap_slack.map_or(u64::MAX, u64::from),
         config.validation as u64,
         // Portfolio context: the exact backend can change a cached subtree
-        // (placements, stats), and a Race entry is deadline-dependent —
-        // the shared `hca serve` cache must never cross-contaminate
-        // solver configurations.
-        config.portfolio.mode as u64,
-        config.portfolio.exact_max_nodes as u64,
-        config.portfolio.exact_node_budget,
-        config.portfolio.exact_deadline_ms,
+        // (placements, stats), so the shared `hca serve` cache must never
+        // cross-contaminate solver modes.
+        config.portfolio as u64,
         u64::from(theo_mii),
         u64::from(analysis.mii_rec),
         sp.depth() as u64,

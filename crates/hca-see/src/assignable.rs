@@ -393,15 +393,16 @@ impl ScoreTrial {
     /// arc *in the underlying state* — the quantity the issue-cap screen
     /// counts (deliberately ignoring trial-local dedup, exactly like
     /// `assignable_dynamic`'s `new_values_to_c` probe against `st`).
+    ///
+    /// `via_edge` is the `(slack, in_recurrence)` context of the DDG edge
+    /// the copy serves; `None` for copies that correspond to no DDG edge.
     fn add_copy(
         &mut self,
         ctx: &SeeContext<'_>,
         st: &PartialState,
         v: NodeId,
-        src: PgNodeId,
-        dst: PgNodeId,
-        via_edge_slack: Option<u32>,
-        in_recurrence: bool,
+        (src, dst): (PgNodeId, PgNodeId),
+        via_edge: Option<(u32, bool)>,
     ) -> bool {
         if st.copies.contains(src, dst, v) {
             return false; // already present: apply would have been a no-op
@@ -425,10 +426,10 @@ impl ScoreTrial {
         if ctx.pg.node(dst).kind.is_cluster() {
             self.charge_issue(ctx, st, dst, 1);
         }
-        if in_recurrence {
-            self.recurrence_copies += 1;
-        }
-        if let Some(slack) = via_edge_slack {
+        if let Some((slack, in_recurrence)) = via_edge {
+            if in_recurrence {
+                self.recurrence_copies += 1;
+            }
             let lat = f64::from(ctx.constraints.copy_latency);
             let room = f64::from(slack);
             self.critical_penalty += (lat / (1.0 + room)).min(lat);
@@ -545,7 +546,7 @@ pub fn score_if_assignable(
             {
                 new_in_c.push(cp);
             }
-            if t.add_copy(ctx, st, p.value, cp, c, Some(p.slack), p.recurrence) {
+            if t.add_copy(ctx, st, p.value, (cp, c), Some((p.slack, p.recurrence))) {
                 new_values_to_c += 1;
             }
         }
@@ -577,7 +578,7 @@ pub fn score_if_assignable(
                 new_out.push(cs);
             }
         }
-        t.add_copy(ctx, st, n, c, cs, Some(s.slack), s.recurrence);
+        t.add_copy(ctx, st, n, (c, cs), Some((s.slack, s.recurrence)));
     }
     // (iv) Optional out-neighbour budget (unlimited on DSPFabric).
     if let Some(limit) = ctx.constraints.max_out_neighbors {
@@ -592,7 +593,7 @@ pub fn score_if_assignable(
     }
     // Output wires carry no screens here (the mask folded the fan-in rule).
     for &o in ctx.statics.outputs_carrying(n) {
-        t.add_copy(ctx, st, n, c, o, None, false);
+        t.add_copy(ctx, st, n, (c, o), None);
     }
     Some(crate::cost::objective_from_parts(
         ctx,

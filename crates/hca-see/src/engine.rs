@@ -10,6 +10,9 @@ use hca_pg::{ArchConstraints, AssignedPg, Pg, PgNodeId};
 use std::fmt;
 use std::time::Instant;
 
+/// Intermediate hops the Route Allocator may spend per flow.
+const MAX_ROUTE_HOPS: usize = 3;
+
 /// Tunables of one SEE run.
 #[derive(Clone, Copy, Debug)]
 pub struct SeeConfig {
@@ -25,8 +28,6 @@ pub struct SeeConfig {
     pub priority: PriorityPolicy,
     /// Run the Route Allocator as the no-candidates action.
     pub enable_router: bool,
-    /// Intermediate hops the Route Allocator may spend per flow.
-    pub max_route_hops: usize,
     /// Optional per-issue-slot load ceiling (see [`SeeContext::issue_cap`]).
     pub issue_cap: Option<u32>,
     /// Admissible MII floor shared by the portfolio driver
@@ -47,7 +48,6 @@ impl Default for SeeConfig {
             weights: CostWeights::default(),
             priority: PriorityPolicy::DataflowOrder,
             enable_router: true,
-            max_route_hops: 3,
             issue_cap: None,
             mii_bound: None,
         }
@@ -464,7 +464,7 @@ impl<'a> See<'a> {
                 // router cannot rescue comes back bit-identical (rolled
                 // back) and retires to the arena below.
                 let ok: Vec<bool> = hca_par::par_map_mut(&mut distinct, |st| {
-                    route_assign_commit(&self.ctx, &self.rt, st, n, self.config.max_route_hops)
+                    route_assign_commit(&self.ctx, &self.rt, st, n, MAX_ROUTE_HOPS)
                 });
                 let mut new_slots: Vec<usize> =
                     slots.iter().copied().filter(|&di| ok[di]).collect();
@@ -1146,17 +1146,8 @@ impl<'a> See<'a> {
             let direct_ok = st.in_neighbors.contains(c.index(), inp)
                 || ports_left > usize::from(more_after_this && relay.is_none());
             if direct_ok
-                && crate::route::route_value(
-                    ctx,
-                    &self.rt,
-                    st,
-                    v,
-                    inp,
-                    c,
-                    self.config.max_route_hops,
-                    &mut txn,
-                )
-                .is_some()
+                && crate::route::route_value(ctx, &self.rt, st, v, inp, c, MAX_ROUTE_HOPS, &mut txn)
+                    .is_some()
             {
                 // delivered directly (or over an already-open path)
             } else {
@@ -1178,25 +1169,16 @@ impl<'a> See<'a> {
                         r
                     }
                 };
-                if crate::route::route_value(
-                    ctx,
-                    &self.rt,
-                    st,
-                    v,
-                    inp,
-                    r,
-                    self.config.max_route_hops,
-                    &mut txn,
-                )
-                .is_none()
+                if crate::route::route_value(ctx, &self.rt, st, v, inp, r, MAX_ROUTE_HOPS, &mut txn)
+                    .is_none()
                 {
                     st.txn_rollback(ctx, txn);
                     return None;
                 }
-                st.add_copy_txn(ctx, v, r, c, None, false, &mut txn);
+                st.add_copy_txn(ctx, v, r, c, &mut txn);
                 st.routed_hops += 1;
             }
-            st.add_copy_txn(ctx, v, c, o, None, false, &mut txn);
+            st.add_copy_txn(ctx, v, c, o, &mut txn);
             // The Route op itself costs an issue slot.
             st.charge_issue_txn(ctx, c, 1, &mut txn);
             st.push_forward(v, c);

@@ -110,10 +110,7 @@ fn statically_routable(
         if cp == c {
             continue;
         }
-        if !rt
-            .hop_dist(cp, c)
-            .is_some_and(|d| d as usize <= max_hops + 2)
-        {
+        if rt.hop_dist(cp, c).is_none_or(|d| d as usize > max_hops + 2) {
             return false;
         }
     }
@@ -127,10 +124,7 @@ fn statically_routable(
         if cs == c || !ctx.pg.node(cs).kind.is_cluster() {
             continue;
         }
-        if !rt
-            .hop_dist(c, cs)
-            .is_some_and(|d| d as usize <= max_hops + 1)
-        {
+        if rt.hop_dist(c, cs).is_none_or(|d| d as usize > max_hops + 1) {
             return false;
         }
     }
@@ -194,7 +188,7 @@ fn try_route_to(
             st.txn_rollback(ctx, txn);
             return None;
         }
-        st.add_copy_txn(ctx, n, c, o, None, false, &mut txn);
+        st.add_copy_txn(ctx, n, c, o, &mut txn);
     }
     st.cost = crate::cost::objective(ctx, st);
     Some(txn)
@@ -308,7 +302,7 @@ fn try_relay(
             st.txn_rollback(ctx, txn);
             return None;
         }
-        st.add_copy_txn(ctx, v, relay, c, None, false, &mut txn);
+        st.add_copy_txn(ctx, v, relay, c, &mut txn);
         st.routed_hops += 1;
     }
     st.cost = crate::cost::objective(ctx, st);
@@ -340,7 +334,7 @@ pub(crate) fn route_value(
         if !arc_admissible(ctx, work, v, a, b) {
             return None;
         }
-        work.add_copy_txn(ctx, v, a, b, None, false, txn);
+        work.add_copy_txn(ctx, v, a, b, txn);
     }
     work.routed_hops += extra_hops;
     Some(())

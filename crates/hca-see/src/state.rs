@@ -676,23 +676,6 @@ impl PartialState {
         self.copies.len(src, dst) as u32
     }
 
-    /// How many of `c`'s in-neighbours are glue-in (special input) nodes.
-    pub fn glue_in_neighbors(&self, ctx: &SeeContext<'_>, c: PgNodeId) -> usize {
-        self.in_neighbors
-            .iter(c.index())
-            .filter(|&s| !ctx.pg.node(s).kind.is_cluster())
-            .count()
-    }
-
-    /// Per-cluster cap on *directly bound* glue-in wires: half the input
-    /// ports, rounded down but at least one. Hoarding the other half for
-    /// sibling arcs keeps relay aggregation possible — without this, a
-    /// cluster that binds both of its ports to parent wires walls itself off
-    /// from the rest of the group and the search dead-ends.
-    pub fn glue_in_cap(ctx: &SeeContext<'_>) -> usize {
-        ((ctx.constraints.max_in_neighbors as usize) / 2).max(1)
-    }
-
     /// Record value `v` on arc `src → dst` (no-op when already present).
     /// Updates receive counts, in-neighbour sets and copy statistics.
     ///
@@ -978,19 +961,18 @@ impl PartialState {
         txn.ops.push(TxnOp::Place(n, c));
     }
 
-    /// Journalled [`add_copy`](PartialState::add_copy). Returns `true` when
-    /// a new copy was created (`false` = the value was already on the arc).
+    /// Journalled [`add_copy`](PartialState::add_copy) of a routing hop (no
+    /// DDG-edge context). Returns `true` when a new copy was created
+    /// (`false` = the value was already on the arc).
     pub fn add_copy_txn(
         &mut self,
         ctx: &SeeContext<'_>,
         v: NodeId,
         src: PgNodeId,
         dst: PgNodeId,
-        via_edge_slack: Option<u32>,
-        in_recurrence: bool,
         txn: &mut StateTxn,
     ) -> bool {
-        match self.add_copy_logged(ctx, v, src, dst, via_edge_slack, in_recurrence) {
+        match self.add_copy_logged(ctx, v, src, dst, None, false) {
             Some(cu) => {
                 txn.ops.push(TxnOp::Copy(cu));
                 true
@@ -1086,22 +1068,6 @@ impl PartialState {
             }
         }
         worst
-    }
-
-    /// Mean *squared* per-issue-slot utilisation — the load-balance
-    /// criterion. Convexity matters: below the recurrence-MII bound the
-    /// pressure term is flat (packing one cluster and spreading both meet
-    /// MIIRec), but concentrated placements explode into receive storms and
-    /// port contention one hierarchy level down. The squared term keeps a
-    /// spreading gradient alive everywhere.
-    #[inline]
-    pub fn utilization_sq_mean(&self, _ctx: &SeeContext<'_>) -> f64 {
-        // O(1): `util_sq_sum` is maintained incrementally by `charge_issue`.
-        if self.util_clusters == 0 {
-            0.0
-        } else {
-            self.util_sq_sum / f64::from(self.util_clusters)
-        }
     }
 
     /// Approximate heap footprint of this state in bytes — used by the
@@ -1453,10 +1419,10 @@ mod tests {
 
         let mut txn = st.txn_begin();
         st.place_txn(&ctx, q, PgNodeId(2), &mut txn);
-        assert!(st.add_copy_txn(&ctx, p, PgNodeId(0), PgNodeId(1), None, false, &mut txn));
-        assert!(st.add_copy_txn(&ctx, p, PgNodeId(1), PgNodeId(2), None, false, &mut txn));
+        assert!(st.add_copy_txn(&ctx, p, PgNodeId(0), PgNodeId(1), &mut txn));
+        assert!(st.add_copy_txn(&ctx, p, PgNodeId(1), PgNodeId(2), &mut txn));
         // Re-adding the same value on the same arc is a no-op …
-        assert!(!st.add_copy_txn(&ctx, p, PgNodeId(0), PgNodeId(1), None, false, &mut txn));
+        assert!(!st.add_copy_txn(&ctx, p, PgNodeId(0), PgNodeId(1), &mut txn));
         st.charge_issue_txn(&ctx, PgNodeId(1), 1, &mut txn);
         st.push_forward(p, PgNodeId(1));
         st.routed_hops += 1;

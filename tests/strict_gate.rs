@@ -25,7 +25,7 @@ fn wire(src: WireSource, receivers: &[usize], to_parent: bool, values: &[u32]) -
 
 /// Run the corrupted topology through the checker, then through every
 /// validation level: Strict must reject with `HcaError::Incoherent`,
-/// Report and Off must pass the report through unchanged.
+/// Report must pass the report through unchanged.
 fn assert_strict_rejects(fabric: &DspFabric, topo: &Topology, expect: &str) {
     let ddg = DdgBuilder::default().finish();
     let report = check_coherency(fabric, topo, &ddg, &|_| unreachable!("empty DDG"));
@@ -41,8 +41,7 @@ fn assert_strict_rejects(fabric: &DspFabric, topo: &Topology, expect: &str) {
         }
         other => panic!("Strict must reject, got {other:?}"),
     }
-    assert!(ValidationLevel::Report.enforce(report.clone()).is_ok());
-    assert!(ValidationLevel::Off.enforce(report).is_ok());
+    assert!(ValidationLevel::Report.enforce(report).is_ok());
 }
 
 #[test]
