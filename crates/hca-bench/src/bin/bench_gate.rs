@@ -57,8 +57,6 @@ const HISTORY_COUNTERS: &[&str] = &[
     "see.states_explored",
     "see.states_pruned",
     "see.steps",
-    "see.frontier_deduped",
-    "see.dominance_pruned",
     "see.route_bfs_runs",
     "see.route_cache_hits",
     "see.route_table_bytes",

@@ -408,6 +408,7 @@ impl Options {
         })?;
         let ddg: Ddg =
             serde_json::from_str(&body).map_err(|e| format!("bad DDG JSON in {target}: {e}"))?;
+        ddg.validate().map_err(|e| format!("{target}: {e}"))?;
         analysis::intra_topo_order(&ddg)
             .ok_or_else(|| format!("{target}: intra-iteration dependence cycle"))?;
         Ok(finish(target.to_string(), ddg))

@@ -89,6 +89,24 @@ fn bad_inputs_fail_gracefully() {
 }
 
 #[test]
+fn ddg_file_with_a_dangling_edge_is_rejected_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("hca-cli-dangling-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("dot_product.json");
+    let (ok, json, _) = hca(&["export", "dot_product", "--json"]);
+    assert!(ok);
+    // Retarget the first edge (`src: 0, dst: 0`) at a node that does not exist.
+    let broken = json.replacen("\"dst\": 0", "\"dst\": 999", 1);
+    assert_ne!(broken, json);
+    std::fs::write(&path, &broken).unwrap();
+    let (ok2, _, stderr) = hca(&["clusterize", path.to_str().unwrap()]);
+    assert!(!ok2);
+    assert!(stderr.contains("edge 0 (n0 -> n999)"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn removed_race_solver_is_a_bad_solver_value() {
     let (ok, _, stderr) = hca(&["clusterize", "fir2dim", "--solver", "race"]);
     assert!(!ok);
@@ -221,6 +239,31 @@ fn explain_replays_identically_from_a_recorded_trace() {
     // Same report body after the title line (titles name the source).
     let body = |s: &str| s.split_once('\n').map(|(_, b)| b.to_string()).unwrap();
     assert_eq!(body(&live), body(&replayed));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn explain_replays_a_trace_with_removed_dedup_and_dominance_keys() {
+    // Traces from older builds carry the `deduped` / `dominated` step keys
+    // the schema no longer has; replay must ignore them.
+    let dir = std::env::temp_dir().join(format!("hca-cli-old-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("old.jsonl");
+    std::fs::write(
+        &trace,
+        concat!(
+            r#"{"kind":"step","problem":"⊤","step":0,"node":0,"beam":3,"explored":5,"pruned_beam":2,"rej_margin":0,"rej_branch":1,"deduped":0,"dominated":0,"rescued":false,"ns":1000,"cands":[[0,8.0]]}"#,
+            "\n",
+            r#"{"kind":"mii","est_mii":3,"mii_rec":2,"mii_issue":3,"mii_arc":1,"why":"issue"}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = hca(&["explain", trace.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("2 trace records"), "{stdout}");
+    assert!(stdout.contains("final MII 3 — bound by issue"), "{stdout}");
+    assert!(stdout.contains("beam truncation"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -319,8 +319,6 @@ fn record_see_stats(obs: &Obs, s: &hca_see::SeeStats) {
     obs.counter_add("see.routed_hops", u64::from(s.routed_hops));
     obs.counter_add("see.route_bfs_runs", s.route_bfs_runs as u64);
     obs.counter_add("see.route_cache_hits", s.route_cache_hits as u64);
-    obs.counter_add("see.frontier_deduped", s.frontier_deduped as u64);
-    obs.counter_add("see.dominance_pruned", s.dominance_pruned as u64);
     obs.counter_add("see.steps", s.steps as u64);
     // The occupancy vector is a bounded *sample* (STEP_SAMPLE_CAP); the
     // histogram over it stays representative, the exact totals live in

@@ -17,6 +17,10 @@ pub enum DdgError {
     /// A dependence cycle exists whose total iteration distance is zero:
     /// the loop body can never be scheduled.
     ZeroDistanceCycle,
+    /// The stored graph is internally inconsistent (a dangling edge
+    /// endpoint or an adjacency list that disagrees with `edges`). Only a
+    /// deserialised DDG can get here; [`Ddg::validate`] reports it.
+    Malformed(String),
 }
 
 impl fmt::Display for DdgError {
@@ -25,6 +29,7 @@ impl fmt::Display for DdgError {
             DdgError::ZeroDistanceCycle => {
                 write!(f, "dependence cycle with zero iteration distance")
             }
+            DdgError::Malformed(why) => write!(f, "malformed DDG: {why}"),
         }
     }
 }

@@ -5,6 +5,7 @@
 //! and `EdgeId` are `u32` newtypes, so the hot search structures built on top
 //! of the DDG stay compact (perf-book: smaller integers for indices).
 
+use crate::analysis::DdgError;
 use crate::op::Opcode;
 use serde::{Deserialize, Serialize};
 use smallvec::SmallVec;
@@ -133,6 +134,50 @@ impl Ddg {
         self.succs[src.index()].push(id);
         self.preds[dst.index()].push(id);
         id
+    }
+
+    /// Check the structure a deserialised graph carries: every edge
+    /// endpoint names a node, `succs`/`preds` have one row per node, and
+    /// every adjacency entry names an existing edge whose source (for
+    /// `succs`) or destination (for `preds`) is that row's node. Graphs
+    /// built through [`add_edge`](Ddg::add_edge) always pass; a file or
+    /// wire DDG must pass before any analysis indexes through it.
+    pub fn validate(&self) -> Result<(), DdgError> {
+        let n = self.nodes.len();
+        for (i, e) in self.edges.iter().enumerate() {
+            if e.src.index() >= n || e.dst.index() >= n {
+                return Err(DdgError::Malformed(format!(
+                    "edge {i} ({} -> {}) names a node outside the {n}-node graph",
+                    e.src, e.dst
+                )));
+            }
+        }
+        for (side, rows) in [("succs", &self.succs), ("preds", &self.preds)] {
+            if rows.len() != n {
+                return Err(DdgError::Malformed(format!(
+                    "`{side}` has {} rows for {n} nodes",
+                    rows.len()
+                )));
+            }
+            for (v, row) in rows.iter().enumerate() {
+                for &id in row {
+                    let Some(e) = self.edges.get(id.index()) else {
+                        return Err(DdgError::Malformed(format!(
+                            "`{side}` of n{v} lists edge {}, which does not exist",
+                            id.0
+                        )));
+                    };
+                    let end = if side == "succs" { e.src } else { e.dst };
+                    if end.index() != v {
+                        return Err(DdgError::Malformed(format!(
+                            "`{side}` of n{v} lists edge {} ({} -> {})",
+                            id.0, e.src, e.dst
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of nodes.
@@ -275,6 +320,29 @@ mod tests {
         let y = g.add_node(Opcode::Add, None);
         let e1 = g.add_edge(x, y, 1, 0);
         assert!(!g.edge(e1).is_loop_carried());
+    }
+
+    #[test]
+    fn validate_rejects_inconsistent_structure() {
+        let (g, [a, _, _, d]) = diamond();
+        assert_eq!(g.validate(), Ok(()));
+
+        let mut dangling = g.clone();
+        dangling.edges[0].dst = NodeId(999);
+        let err = dangling.validate().unwrap_err().to_string();
+        assert!(err.contains("edge 0 (n0 -> n999)"), "{err}");
+
+        let mut short = g.clone();
+        short.preds.pop();
+        assert!(short.validate().is_err());
+
+        let mut unknown = g.clone();
+        unknown.succs[a.index()].push(EdgeId(40));
+        assert!(unknown.validate().is_err());
+
+        let mut mismatched = g;
+        mismatched.preds[d.index()].push(EdgeId(0)); // a -> b, not into d
+        assert!(mismatched.validate().is_err());
     }
 
     #[test]

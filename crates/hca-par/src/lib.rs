@@ -2,7 +2,7 @@
 //!
 //! A tiny scoped worker pool over `std::thread` exposing exactly the
 //! patterns the compiler uses — `par_map` (shared input, collected in index
-//! order), `par_map_mut` (contiguous chunks of a mutable slice) and `join`.
+//! order) and `par_map_mut` (contiguous chunks of a mutable slice).
 //! The design contract is **determinism**: every function returns results
 //! in input order, so callers that merge sequentially afterwards produce
 //! bit-identical output whatever the thread count. Thread scheduling only
@@ -10,10 +10,9 @@
 //!
 //! Thread count resolution, in precedence order:
 //!
-//! 1. the `sequential` cargo feature (compile-time kill switch),
-//! 2. [`set_thread_override`] (programmatic, used by determinism tests),
-//! 3. the `HCA_THREADS` environment variable (read once per process),
-//! 4. [`std::thread::available_parallelism`].
+//! 1. [`set_thread_override`] (programmatic, used by determinism tests),
+//! 2. the `HCA_THREADS` environment variable (read once per process),
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! Nested calls run inline: a worker thread that itself calls `par_map`
 //! executes sequentially instead of spawning threads-under-threads. The
@@ -80,9 +79,8 @@ thread_local! {
 }
 
 /// Force the pool width programmatically (`None` restores the environment
-/// default). Takes precedence over `HCA_THREADS`; the `sequential` feature
-/// still wins. Used by determinism tests to compare 1-thread and N-thread
-/// runs inside one process.
+/// default). Takes precedence over `HCA_THREADS`. Used by determinism tests
+/// to compare 1-thread and N-thread runs inside one process.
 pub fn set_thread_override(threads: Option<usize>) {
     OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
 }
@@ -104,9 +102,6 @@ fn parse_hca_threads(raw: &str) -> Result<usize, String> {
 
 /// The configured pool width (≥ 1).
 pub fn configured_threads() -> usize {
-    if cfg!(feature = "sequential") {
-        return 1;
-    }
     let o = OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
@@ -295,32 +290,6 @@ where
     out
 }
 
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    if effective_threads(2) <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let ha = scope.spawn(|| {
-            IN_WORKER.with(|w| w.set(true));
-            catch_unwind(AssertUnwindSafe(a))
-        });
-        let rb = catch_unwind(AssertUnwindSafe(b));
-        let ra = ha.join().unwrap_or_else(|payload| Err(payload));
-        // `a` first, matching the inline `(a(), b())` evaluation order, so
-        // which payload propagates is independent of the thread count.
-        match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,15 +347,6 @@ mod tests {
             par_map(&inner, move |&j| i * 10 + j)
         });
         assert_eq!(out[1], vec![10, 11, 12, 13]);
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let _g = LOCK.lock().unwrap();
-        set_thread_override(Some(2));
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
         set_thread_override(None);
     }
 

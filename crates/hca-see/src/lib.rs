@@ -32,7 +32,6 @@ pub mod cost;
 pub mod engine;
 pub mod exact;
 pub mod filters;
-mod frontier;
 pub mod neighbors;
 pub mod route;
 pub mod route_table;

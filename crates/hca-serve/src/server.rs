@@ -400,7 +400,10 @@ fn compile_one(
     job: &CompileSpec,
 ) -> Result<crate::protocol::CompileSummary, String> {
     let (name, ddg): (String, Ddg) = match (&job.ddg, &job.kernel) {
-        (Some(ddg), _) => ("inline".to_string(), ddg.clone()),
+        (Some(ddg), _) => {
+            ddg.validate().map_err(|e| format!("inline ddg: {e}"))?;
+            ("inline".to_string(), ddg.clone())
+        }
         (None, Some(kernel)) => resolve_kernel(kernel)?,
         (None, None) => return Err("compile needs `kernel` or `ddg`".into()),
     };

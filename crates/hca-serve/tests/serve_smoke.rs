@@ -143,3 +143,30 @@ fn unix_socket_round_trip() {
     daemon.join().expect("daemon thread");
     assert!(!sock.exists(), "socket file must be removed on shutdown");
 }
+
+#[test]
+fn inline_ddg_with_a_dangling_edge_is_a_typed_error() {
+    let json = serde_json::to_string(&hca_kernels::dspstone::dot_product()).expect("serialise");
+    let broken = json.replacen("\"dst\":0", "\"dst\":999", 1);
+    assert_ne!(broken, json, "first edge retargeted");
+    let ddg: hca_ddg::Ddg = serde_json::from_str(&broken).expect("still well-formed JSON");
+
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let stop = server.stop_handle();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run().expect("server run"));
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let err = client
+        .compile(CompileSpec {
+            ddg: Some(ddg),
+            ..CompileSpec::default()
+        })
+        .expect_err("dangling edge must be rejected");
+    assert!(err.contains("edge 0 (n0 -> n999)"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    client.ping().expect("daemon keeps serving");
+
+    stop.stop();
+    daemon.join().expect("daemon thread");
+}
