@@ -243,6 +243,50 @@ fn explain_replays_identically_from_a_recorded_trace() {
 }
 
 #[test]
+fn exact_small_trace_has_one_tier_record_per_traced_tier() {
+    // The ladder's tiers run concurrently, but a tier the fold never
+    // reaches (after a bound exit) must leave no `step` records behind:
+    // every (sub-problem, tier) that traced steps also reports its outcome,
+    // exactly once.
+    let dir = std::env::temp_dir().join(format!("hca-cli-tier-parity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("fir2dim-exact.jsonl");
+    let (ok, _, stderr) = hca(&[
+        "explain",
+        "fir2dim",
+        "--solver",
+        "exact-small",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let records = hca_obs::trace::read_jsonl_file(&trace).unwrap();
+    let mut tiers: std::collections::BTreeMap<(String, u32), (usize, usize)> =
+        std::collections::BTreeMap::new();
+    for r in &records {
+        let slot = tiers.entry((r.problem.clone(), r.tier)).or_default();
+        match r.kind.as_str() {
+            "step" => slot.0 += 1,
+            "tier" => slot.1 += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        tiers.values().any(|&(steps, _)| steps > 0),
+        "no step records"
+    );
+    for ((problem, tier), (steps, tier_records)) in &tiers {
+        if *steps > 0 {
+            assert_eq!(
+                *tier_records, 1,
+                "{problem} tier {tier}: {steps} step records, {tier_records} tier records"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn explain_replays_a_trace_with_removed_dedup_and_dominance_keys() {
     // Traces from older builds carry the `deduped` / `dominated` step keys
     // the schema no longer has; replay must ignore them.

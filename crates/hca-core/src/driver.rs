@@ -645,9 +645,21 @@ fn run_hca_once(
     })
 }
 
+/// One escalation tier's SEE run, as the pool hands it back to the fold.
+struct TierRun {
+    outcome: Result<hca_see::SeeOutcome, SeeError>,
+    /// Wall-clock of the SEE run (the tier's trace `ns` adds its Mapper
+    /// time in the fold).
+    see_time: std::time::Duration,
+    /// The run's buffered trace records, replayed only if the fold reaches
+    /// this tier.
+    trace: SearchTracer,
+}
+
 /// Solve sub-problem `sp` and its whole subtree: run the SEE escalation
-/// ladder and the Mapper at this level, then recurse into the child
-/// sub-problems — in parallel, they are independent. Returns the subtree's
+/// ladder (its tiers in parallel, folded in tier order) and the Mapper at
+/// this level, then recurse into the child sub-problems — in parallel,
+/// they are independent. Returns the subtree's
 /// contribution to the final result; see [`SubResult`] for the determinism
 /// contract.
 fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, HcaError> {
@@ -677,15 +689,15 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     // Memoisation: answer isomorphic sub-problems from the cache. The key
     // encodes the full solving context (see `memo` module docs), so a hit
     // rehydrates to exactly what the solve below would have produced.
-    let memo_ctx = memo.map(|m| {
+    // A miss claims the key until this solve is cached (or abandoned), so
+    // a sibling solving the same sub-problem concurrently waits for it.
+    let mut memo_ctx = None;
+    if let Some(m) = memo {
         let (key, canon2raw) =
             crate::memo::canonicalise(topo_pos, ddg, analysis, config, theo_mii, fabric, sp);
-        (m, key, canon2raw)
-    });
-    if let Some((m, key, canon2raw)) = &memo_ctx {
-        let hit = m.lookup(key);
+        let lookup = m.lookup(key);
         if trace_on {
-            let was_hit = hit.is_some();
+            let was_hit = lookup.is_ok();
             tracer.record(|| TraceRecord {
                 kind: kind::MEMO.to_string(),
                 problem: sp.id(),
@@ -695,11 +707,16 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
                 ..TraceRecord::default()
             });
         }
-        if let Some(hit) = hit {
-            obs.counter_add("driver.memo_hits", 1);
-            return Ok(crate::memo::rehydrate(&hit, canon2raw, &sp.path, fabric));
+        match lookup {
+            Ok(hit) => {
+                obs.counter_add("driver.memo_hits", 1);
+                return Ok(crate::memo::rehydrate(&hit, &canon2raw, &sp.path, fabric));
+            }
+            Err(claim) => {
+                obs.counter_add("driver.memo_misses", 1);
+                memo_ctx = Some((claim, canon2raw));
+            }
         }
-        obs.counter_add("driver.memo_misses", 1);
     }
     let mut res = SubResult {
         ini_mii: 1,
@@ -783,29 +800,48 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
     ];
     // Run every tier and keep the best mapped result — tiers are cheap
     // (sub-problems are tiny) and which strategy wins varies per
-    // sub-problem.
+    // sub-problem. The tiers are independent SEE runs on the same
+    // sub-problem, so they run on the worker pool, heaviest
+    // (`beam_width × branch_factor`) first so the long runs start before
+    // the short ones. Each run buffers its trace records; the fold below
+    // visits the runs in tier order and replays only the tiers it reaches,
+    // so outputs, counters and the trace match a sequential ladder.
+    let mut dispatch: Vec<usize> = (0..tiers.len()).collect();
+    dispatch.sort_by_key(|&t| std::cmp::Reverse(tiers[t].beam_width * tiers[t].branch_factor));
+    let see_span = obs.span("see", level_phase(d));
+    let sp_id = sp.id();
+    let runs = hca_par::par_map(&dispatch, |&tier| {
+        let t0 = std::time::Instant::now();
+        let trace = tracer.buffered(&sp_id, d as u32, tier as u32);
+        let see = See::new(ddg, analysis, &pg, constraints, tiers[tier]).with_tracer(trace.clone());
+        let outcome = see.run(Some(&sp.working_set));
+        TierRun {
+            outcome,
+            see_time: t0.elapsed(),
+            trace,
+        }
+    });
+    let mut runs: Vec<(usize, TierRun)> = dispatch.into_iter().zip(runs).collect();
+    runs.sort_by_key(|&(tier, _)| tier);
     let mut winner_tier: u32 = FALLBACK_TIER;
     // Set when a tier winner provably reached the global score minimum
     // (bound sharing): the remaining tiers — and the exact backend — have
     // nothing left to win.
     let mut bound_exit = false;
-    let see_span = obs.span("see", level_phase(d));
-    for (tier, see_cfg) in tiers.into_iter().enumerate() {
-        let tier_t0 = trace_on.then(std::time::Instant::now);
+    for (tier, run) in runs {
+        tracer.replay(&run.trace);
+        let see_time = run.see_time;
+        let fold_t0 = trace_on.then(std::time::Instant::now);
         let elapsed_ns = |t0: Option<std::time::Instant>| {
             t0.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                u64::try_from((see_time + t.elapsed()).as_nanos()).unwrap_or(u64::MAX)
             })
         };
-        let mut see = See::new(ddg, analysis, &pg, constraints, see_cfg);
-        if trace_on {
-            see = see.with_tracer(tracer.scoped(&sp.id(), d as u32, tier as u32));
-        }
-        let outcome = match see.run(Some(&sp.working_set)) {
+        let outcome = match run.outcome {
             Ok(o) => o,
             Err(source) => {
                 if trace_on {
-                    let (ns, msg) = (elapsed_ns(tier_t0), source.to_string());
+                    let (ns, msg) = (elapsed_ns(fold_t0), source.to_string());
                     tracer.record(|| TraceRecord {
                         kind: kind::TIER.to_string(),
                         problem: sp.id(),
@@ -839,7 +875,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         match map_level_obs(&outcome.assigned, spec, opts, obs) {
             Ok(mapped) => {
                 if trace_on {
-                    let ns = elapsed_ns(tier_t0);
+                    let ns = elapsed_ns(fold_t0);
                     let (bfs, hits) = (
                         outcome.stats.route_bfs_runs as u64,
                         outcome.stats.route_cache_hits as u64,
@@ -900,7 +936,7 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             }
             Err(source) => {
                 if trace_on {
-                    let (ns, msg) = (elapsed_ns(tier_t0), format!("map: {source}"));
+                    let (ns, msg) = (elapsed_ns(fold_t0), format!("map: {source}"));
                     tracer.record(|| TraceRecord {
                         kind: kind::TIER.to_string(),
                         problem: sp.id(),
@@ -1266,11 +1302,11 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             merge_stats(&mut res.stats, &child.stats);
         }
     }
-    if let Some((m, key, canon2raw)) = memo_ctx {
+    if let Some((claim, canon2raw)) = memo_ctx {
         // Defensive: anything outside the canonical universe (which would
         // make rehydration unsound) skips the cache instead of poisoning it.
         match crate::memo::capture(&res, &canon2raw, &sp.path, fabric) {
-            Some(canon) => m.insert(key, canon),
+            Some(canon) => claim.fulfil(canon),
             None => obs.counter_add("driver.memo_uncachable", 1),
         }
     }

@@ -57,7 +57,17 @@
 //!
 //! The map is split into [`NUM_SHARDS`] shards, each behind its own mutex,
 //! selected by the key's hash — concurrent requests from an `hca serve`
-//! worker set contend per shard, not globally. Every lock acquisition
+//! worker set contend per shard, not globally.
+//!
+//! A miss *claims* its key (`Claim`) until the solve is cached or
+//! abandoned; a concurrent lookup of a claimed key waits for it instead of
+//! solving the same sub-problem a second time. Each key is therefore
+//! solved once per cache whatever the thread count (evictions aside), so
+//! the hit/miss counts and the search counters of a run do not depend on
+//! how sibling sub-problems interleave on the worker pool. Waits cannot
+//! cycle: the key encodes the decomposition depth, a claim holder only
+//! ever waits on keys deeper than every key it holds, and a claim is
+//! released on every exit path, unwinding included. Every lock acquisition
 //! recovers from poisoning (`PoisonError::into_inner`): the cache only ever
 //! holds plain data whose invariants are restored before the guard drops,
 //! so a worker that panicked *while not holding the lock* — the only way a
@@ -81,17 +91,17 @@ use crate::driver::{HcaConfig, SubResult};
 use crate::problem::Subproblem;
 use hca_arch::{DspFabric, GroupPath, GroupTopology};
 use hca_ddg::{Ddg, DdgAnalysis, NodeId};
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Renumbering-equivariant canonical key of a sub-problem (full encoding,
 /// collision-free by construction).
-#[derive(PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub(crate) struct MemoKey(Vec<u64>);
 
 /// A solved subtree in canonical form (see the module docs).
@@ -146,6 +156,8 @@ struct Shard {
     tail: usize,
     /// Accounted bytes of all live entries.
     bytes: usize,
+    /// Keys claimed by an in-flight solve (see [`Claim`]).
+    pending: FxHashSet<MemoKey>,
 }
 
 impl Shard {
@@ -239,6 +251,12 @@ impl Shard {
     }
 }
 
+/// One shard's lock, and the condvar its claim releases signal.
+struct ShardLock {
+    shard: Mutex<Shard>,
+    settled: Condvar,
+}
+
 /// The shared sub-problem cache: sharded, byte-budgeted, LRU-evicting,
 /// poison-recovering, and snapshot-persistent. One `Memo` may be scoped to
 /// a single run, shared across a portfolio, or owned by a long-running
@@ -247,7 +265,7 @@ impl Shard {
 /// cross-request reuse happens exactly when a fresh solve would reproduce
 /// the cached bits.
 pub struct Memo {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<ShardLock>,
     /// Total byte budget across all shards (0 = cache nothing).
     budget: usize,
     hits: AtomicU64,
@@ -275,7 +293,12 @@ impl Memo {
     /// it (the key disambiguates).
     pub fn new(budget_bytes: usize) -> Self {
         Memo {
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..NUM_SHARDS)
+                .map(|_| ShardLock {
+                    shard: Mutex::new(Shard::new()),
+                    settled: Condvar::new(),
+                })
+                .collect(),
             budget: budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -309,26 +332,41 @@ impl Memo {
         self.insertions.load(Ordering::Relaxed)
     }
 
-    fn shard_of(&self, key: &MemoKey) -> &Mutex<Shard> {
+    fn shard_index(&self, key: &MemoKey) -> usize {
         let mut h = FxHasher::default();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (NUM_SHARDS - 1)]
+        (h.finish() as usize) & (NUM_SHARDS - 1)
     }
 
-    pub(crate) fn lookup(&self, key: &MemoKey) -> Option<CanonSub> {
-        let mut shard = lock_recover(self.shard_of(key));
-        match shard.map.get(key).copied() {
-            Some(slot) => {
+    /// Answer `key` from the cache, or claim it: the `Err` side is the
+    /// caller's licence (and duty) to solve the sub-problem and
+    /// [`Claim::fulfil`] it. A key another caller has claimed is waited
+    /// for, then re-looked-up.
+    pub(crate) fn lookup(&self, key: MemoKey) -> Result<CanonSub, Claim<'_>> {
+        let i = self.shard_index(&key);
+        let mut shard = lock_recover(&self.shards[i].shard);
+        loop {
+            if let Some(slot) = shard.map.get(&key).copied() {
                 shard.touch(slot);
                 let sub = shard.slab[slot].as_ref().expect("live slot").sub.clone();
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(sub)
+                return Ok(sub);
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+            if !shard.pending.contains(&key) {
+                break;
             }
+            shard = self.shards[i]
+                .settled
+                .wait(shard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        shard.pending.insert(key.clone());
+        drop(shard);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Err(Claim {
+            memo: self,
+            key: Some(key),
+        })
     }
 
     /// First writer wins; by the key contract any two writers hold
@@ -337,13 +375,16 @@ impl Memo {
     /// budget overflows; an entry that alone exceeds that share is not
     /// cached at all (caching it would immediately evict everything else).
     pub(crate) fn insert(&self, key: MemoKey, sub: CanonSub) {
+        let mut shard = lock_recover(&self.shards[self.shard_index(&key)].shard);
+        self.insert_locked(&mut shard, key, sub);
+    }
+
+    fn insert_locked(&self, shard: &mut Shard, key: MemoKey, sub: CanonSub) {
         let shard_budget = self.budget / NUM_SHARDS;
         let bytes = entry_bytes(&key, &sub);
         if bytes > shard_budget {
             return;
         }
-        let mutex = self.shard_of(&key);
-        let mut shard = lock_recover(mutex);
         if let Some(&slot) = shard.map.get(&key) {
             shard.touch(slot);
             return;
@@ -353,16 +394,31 @@ impl Memo {
             evicted += 1;
         }
         shard.insert(Arc::new(key), sub, bytes);
-        drop(shard);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Release a claim on `key`, caching `sub` first when there is one,
+    /// and wake every lookup waiting on the shard.
+    fn settle(&self, key: MemoKey, sub: Option<CanonSub>) {
+        let i = self.shard_index(&key);
+        let mut shard = lock_recover(&self.shards[i].shard);
+        shard.pending.remove(&key);
+        if let Some(sub) = sub {
+            self.insert_locked(&mut shard, key, sub);
+        }
+        drop(shard);
+        self.shards[i].settled.notify_all();
+    }
+
     /// Number of cached canonical sub-problems.
     pub fn entries(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock_recover(&s.shard).map.len())
+            .sum()
     }
 
     /// Approximate heap footprint of the cache: the full `u64` key
@@ -374,7 +430,7 @@ impl Memo {
             + self
                 .shards
                 .iter()
-                .map(|s| lock_recover(s).bytes)
+                .map(|s| lock_recover(&s.shard).bytes)
                 .sum::<usize>()
     }
 
@@ -383,8 +439,8 @@ impl Memo {
     /// order). Returns the number of entries written.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<usize> {
         let mut entries: Vec<SnapshotEntry> = Vec::new();
-        for mutex in &self.shards {
-            let shard = lock_recover(mutex);
+        for s in &self.shards {
+            let shard = lock_recover(&s.shard);
             // Walk tail → head: oldest first.
             let mut slot = shard.tail;
             while slot != NIL {
@@ -444,11 +500,36 @@ impl Memo {
     /// held), for tests that pin the poison-recovery behaviour.
     #[cfg(test)]
     fn poison_all_shards(&self) {
-        for mutex in &self.shards {
+        for s in &self.shards {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = mutex.lock().unwrap();
+                let _guard = s.shard.lock().unwrap();
                 panic!("poison this shard");
             }));
+        }
+    }
+}
+
+/// A claimed cache miss (see [`Memo::lookup`]): until it is fulfilled or
+/// dropped, lookups of the same key wait for it. Dropping an unfulfilled
+/// claim — an error, an uncachable result, a panic — releases the key, and
+/// the next waiter claims it in turn.
+pub(crate) struct Claim<'m> {
+    memo: &'m Memo,
+    key: Option<MemoKey>,
+}
+
+impl Claim<'_> {
+    /// Cache the solved subtree and release the claim.
+    pub(crate) fn fulfil(mut self, sub: CanonSub) {
+        let key = self.key.take().expect("a claim settles once");
+        self.memo.settle(key, Some(sub));
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.memo.settle(key, None);
         }
     }
 }
@@ -736,12 +817,46 @@ mod tests {
     fn lookup_hits_and_misses_are_counted() {
         let m = Memo::new(Memo::DEFAULT_BUDGET);
         m.insert(key(1, 8), sub(1));
-        assert!(m.lookup(&key(1, 8)).is_some());
-        assert!(m.lookup(&key(2, 8)).is_none());
+        assert!(m.lookup(key(1, 8)).is_ok());
+        assert!(m.lookup(key(2, 8)).is_err());
         assert_eq!(m.hits(), 1);
         assert_eq!(m.misses(), 1);
         assert_eq!(m.entries(), 1);
         assert_eq!(m.insertions(), 1);
+    }
+
+    #[test]
+    fn a_claimed_key_is_solved_once() {
+        let m = Memo::new(Memo::DEFAULT_BUDGET);
+        let claim = m.lookup(key(1, 8)).err().expect("cold miss claims");
+        std::thread::scope(|s| {
+            // The waiter blocks until the claim settles, then hits.
+            let waiter = s.spawn(|| m.lookup(key(1, 8)).ok().map(|c| c.placement[0].0));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            claim.fulfil(sub(1));
+            assert_eq!(waiter.join().unwrap(), Some(1));
+        });
+        assert_eq!((m.misses(), m.hits()), (1, 1));
+    }
+
+    #[test]
+    fn a_dropped_claim_passes_the_key_to_the_next_waiter() {
+        let m = Memo::new(Memo::DEFAULT_BUDGET);
+        let claim = m.lookup(key(1, 8)).err().expect("cold miss claims");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let next = m
+                    .lookup(key(1, 8))
+                    .err()
+                    .expect("abandoned key is reclaimed");
+                next.fulfil(sub(2));
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(claim);
+            waiter.join().unwrap();
+        });
+        assert_eq!(m.lookup(key(1, 8)).ok().unwrap().placement[0].0, 2);
+        assert_eq!((m.misses(), m.hits()), (2, 1));
     }
 
     #[test]
@@ -750,7 +865,7 @@ mod tests {
         m.insert(key(1, 8), sub(10));
         m.insert(key(1, 8), sub(20));
         assert_eq!(m.entries(), 1);
-        let got = m.lookup(&key(1, 8)).unwrap();
+        let got = m.lookup(key(1, 8)).ok().unwrap();
         assert_eq!(got.placement[0].0, 10, "second writer must not replace");
     }
 
@@ -773,7 +888,7 @@ mod tests {
             m.approx_bytes()
         );
         // Recently inserted entries survive; the very first ones are gone.
-        assert!(m.lookup(&key(n as u64 - 1, 256)).is_some());
+        assert!(m.lookup(key(n as u64 - 1, 256)).is_ok());
     }
 
     #[test]
@@ -781,7 +896,7 @@ mod tests {
         let m = Memo::new(0);
         m.insert(key(1, 8), sub(1));
         assert_eq!(m.entries(), 0);
-        assert!(m.lookup(&key(1, 8)).is_none());
+        assert!(m.lookup(key(1, 8)).is_err());
     }
 
     #[test]
@@ -800,11 +915,11 @@ mod tests {
         let m = Memo::new(NUM_SHARDS * entry_bytes(&key(0, 64), &sub(0)) * 3);
         m.insert(key(1, 64), sub(1));
         for i in 100..400u64 {
-            let _ = m.lookup(&key(1, 64)); // keep A hot
+            let _ = m.lookup(key(1, 64)); // keep A hot
             m.insert(key(i, 64), sub(i));
         }
         assert!(
-            m.lookup(&key(1, 64)).is_some(),
+            m.lookup(key(1, 64)).is_ok(),
             "hot entry evicted despite LRU touches"
         );
     }
@@ -815,9 +930,9 @@ mod tests {
         m.insert(key(7, 8), sub(7));
         m.poison_all_shards();
         // Every operation must recover the guard instead of propagating.
-        assert!(m.lookup(&key(7, 8)).is_some(), "poisoned lookup failed");
+        assert!(m.lookup(key(7, 8)).is_ok(), "poisoned lookup failed");
         m.insert(key(8, 8), sub(8));
-        assert!(m.lookup(&key(8, 8)).is_some(), "poisoned insert failed");
+        assert!(m.lookup(key(8, 8)).is_ok(), "poisoned insert failed");
         assert_eq!(m.entries(), 2);
         let _ = m.approx_bytes();
     }
@@ -836,7 +951,7 @@ mod tests {
         let back = Memo::load(&path, Memo::DEFAULT_BUDGET).unwrap();
         assert_eq!(back.entries(), 20);
         for i in 0..20u64 {
-            let got = back.lookup(&key(i, 16)).unwrap();
+            let got = back.lookup(key(i, 16)).ok().unwrap();
             assert_eq!(got.placement[0].0, i);
         }
         // Counters start clean after a load (minus the lookups just made).

@@ -166,6 +166,16 @@ struct TraceScope {
     tier: u32,
 }
 
+/// Stream `rec` to the JSONL writer (if any) and retain it in memory.
+fn emit(inner: &TracerInner, rec: TraceRecord) {
+    if let Some(w) = lock_recover(&inner.writer).as_mut() {
+        if let Ok(line) = serde_json::to_string(&rec) {
+            let _ = writeln!(w, "{line}");
+        }
+    }
+    lock_recover(&inner.records).push(rec);
+}
+
 /// Cheap cloneable search-trace handle. Clones share the record buffer and
 /// the JSONL writer; [`SearchTracer::scoped`] derives a handle that stamps
 /// its sub-problem/tier onto every record, so the engine never needs to
@@ -227,6 +237,30 @@ impl SearchTracer {
         }
     }
 
+    /// A [`scoped`](Self::scoped) handle whose records are held in a
+    /// private buffer instead of reaching this tracer's sink; hand it to
+    /// [`replay`](Self::replay) to forward them, or drop it to discard
+    /// them. Lets work that runs concurrently (or speculatively) emit its
+    /// records in a deterministic order, and only when its result is used.
+    pub fn buffered(&self, problem: &str, depth: u32, tier: u32) -> SearchTracer {
+        if self.is_enabled() {
+            SearchTracer::enabled().scoped(problem, depth, tier)
+        } else {
+            SearchTracer::disabled()
+        }
+    }
+
+    /// Forward every record of a [`buffered`](Self::buffered) handle to
+    /// this tracer's sink, in their emission order (records keep the scope
+    /// they were stamped with).
+    pub fn replay(&self, buffered: &SearchTracer) {
+        if let Some(inner) = &self.inner {
+            for rec in buffered.records() {
+                emit(inner, rec);
+            }
+        }
+    }
+
     /// Append one record; `f` runs only when the tracer is enabled.
     #[inline]
     pub fn record(&self, f: impl FnOnce() -> TraceRecord) {
@@ -241,12 +275,7 @@ impl SearchTracer {
             rec.depth = scope.depth;
             rec.tier = scope.tier;
         }
-        if let Some(w) = lock_recover(&inner.writer).as_mut() {
-            if let Ok(line) = serde_json::to_string(&rec) {
-                let _ = writeln!(w, "{line}");
-            }
-        }
-        lock_recover(&inner.records).push(rec);
+        emit(inner, rec);
     }
 
     /// Snapshot of every record so far, in emission order.
@@ -358,6 +387,36 @@ mod tests {
         assert_eq!(recs[0].tier, 3);
         assert_eq!(recs[0].step, 7);
         assert_eq!(recs[1].problem, "explicit");
+    }
+
+    #[test]
+    fn buffered_records_reach_the_sink_only_on_replay() {
+        let t = SearchTracer::enabled();
+        let b = t.buffered("0.1", 1, 4);
+        let dropped = t.buffered("0.1", 1, 2);
+        b.record(|| TraceRecord {
+            kind: kind::STEP.to_string(),
+            step: 0,
+            ..TraceRecord::default()
+        });
+        dropped.record(|| TraceRecord {
+            kind: kind::STEP.to_string(),
+            ..TraceRecord::default()
+        });
+        assert!(t.records().is_empty(), "buffered records leaked early");
+        t.record(|| TraceRecord {
+            kind: kind::SUB.to_string(),
+            problem: "0.1".to_string(),
+            ..TraceRecord::default()
+        });
+        t.replay(&b);
+        let recs = t.records();
+        assert_eq!(recs.len(), 2);
+        assert_eq!(recs[0].kind, kind::SUB);
+        assert_eq!((recs[1].problem.as_str(), recs[1].tier), ("0.1", 4));
+        // A buffer derived from a disabled tracer stays disabled.
+        let off = SearchTracer::disabled().buffered("0", 0, 0);
+        assert!(!off.is_enabled());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic data parallelism for the HCA workspace.
 //!
 //! A tiny scoped worker pool over `std::thread` exposing exactly the
-//! patterns the compiler uses — `par_map` (shared input, collected in index
-//! order) and `par_map_mut` (contiguous chunks of a mutable slice).
+//! pattern the compiler uses: `par_map` over a shared slice, results
+//! collected in index order (plus `try_par_map`, its panic-isolating twin).
 //! The design contract is **determinism**: every function returns results
 //! in input order, so callers that merge sequentially afterwards produce
 //! bit-identical output whatever the thread count. Thread scheduling only
@@ -16,9 +16,10 @@
 //!
 //! Nested calls run inline: a worker thread that itself calls `par_map`
 //! executes sequentially instead of spawning threads-under-threads. The
-//! HCA driver parallelises sibling sub-problems at the top and each SEE
-//! beam expansion below it — without this rule the fan-out would be
-//! multiplicative.
+//! HCA driver parallelises at two layers — the escalation-ladder tiers of
+//! one sub-problem, and sibling sub-problems — and nests them (a sibling
+//! worker runs its own ladder inline); without this rule the fan-out would
+//! be multiplicative. A SEE run itself is always sequential.
 
 #![forbid(unsafe_code)]
 
@@ -244,52 +245,6 @@ where
         .collect()
 }
 
-/// Map `f` over exclusive references into `items`, collecting results in
-/// input order. The slice is split into contiguous chunks, one per worker,
-/// so no synchronisation guards the mutable accesses; chunk results are
-/// concatenated positionally. Same inline/nesting/panic rules as
-/// [`par_map`].
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    let threads = effective_threads(items.len());
-    if threads <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let f = &f;
-    let per_chunk: Vec<Result<Vec<R>, Payload>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    catch_unwind(AssertUnwindSafe(|| {
-                        chunk.iter_mut().map(f).collect::<Vec<R>>()
-                    }))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker cannot panic"))
-            .collect()
-    });
-    // Chunks are contiguous, so the first erring chunk holds the panic of
-    // the lowest input index — propagate that one deterministically.
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in per_chunk {
-        match chunk {
-            Ok(rs) => out.extend(rs),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,20 +259,6 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let out = par_map(&items, |&x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<u64>>());
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn par_map_mut_mutates_and_preserves_order() {
-        let _g = LOCK.lock().unwrap();
-        set_thread_override(Some(3));
-        let mut items: Vec<u64> = (0..100).collect();
-        let out = par_map_mut(&mut items, |x| {
-            *x += 1;
-            *x * 10
-        });
-        assert_eq!(items, (1..=100).collect::<Vec<u64>>());
-        assert_eq!(out, (1..=100).map(|x| x * 10).collect::<Vec<u64>>());
         set_thread_override(None);
     }
 

@@ -11,6 +11,13 @@
 //! [`Memo`] cache, so near-duplicate traffic turns into cache hits
 //! whatever connection it arrives on.
 //!
+//! Intake is bounded: at most `MAX_CONNECTIONS` connections are served at
+//! once (the accept loop reaps finished handlers as it goes, and answers a
+//! connection over the cap with an error before closing it), and a request
+//! line may hold at most `MAX_LINE_BYTES` bytes (a longer line is answered
+//! with an error and discarded up to its newline; the connection keeps
+//! serving).
+//!
 //! The accept loop polls a non-blocking listener and a stop flag;
 //! connection readers poll with a short read timeout. A `shutdown` request
 //! flips the flag, every thread drains within a poll interval, and the
@@ -23,13 +30,14 @@ use hca_arch::DspFabric;
 use hca_core::{run_hca_shared, HcaConfig, Memo};
 use hca_ddg::Ddg;
 use hca_obs::Obs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Where the daemon listens.
@@ -113,6 +121,14 @@ pub struct Server {
 /// Accept-loop poll interval; also bounds how long shutdown drains.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Connections served at once; one more is answered with an error and
+/// closed. Clients are expected in the tens.
+const MAX_CONNECTIONS: usize = 64;
+
+/// Longest request line accepted, newline included. An inline DDG of the
+/// largest built-in kernel serialises to ~55 KB.
+const MAX_LINE_BYTES: usize = 4 << 20;
+
 impl Server {
     /// Bind the listen address and load the snapshot (if configured and
     /// valid — a stale or unreadable snapshot logs one warning and the
@@ -185,10 +201,8 @@ impl Server {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(false)?;
                         stream.set_read_timeout(Some(POLL))?;
-                        let shared = Arc::clone(&self.shared);
-                        handles.push(std::thread::spawn(move || {
-                            handle_connection(&shared, &stream, stream.try_clone());
-                        }));
+                        let writer = stream.try_clone();
+                        self.admit(&mut handles, stream, writer);
                         true
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
@@ -199,10 +213,8 @@ impl Server {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(false)?;
                         stream.set_read_timeout(Some(POLL))?;
-                        let shared = Arc::clone(&self.shared);
-                        handles.push(std::thread::spawn(move || {
-                            handle_connection(&shared, &stream, stream.try_clone());
-                        }));
+                        let writer = stream.try_clone();
+                        self.admit(&mut handles, stream, writer);
                         true
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
@@ -235,6 +247,39 @@ impl Server {
         Ok(self.shared.stats())
     }
 
+    /// Reap finished handlers, then hand the connection to a fresh one —
+    /// or, at [`MAX_CONNECTIONS`] live handlers, answer it with an error
+    /// and close it.
+    fn admit<R, W>(&self, handles: &mut Vec<JoinHandle<()>>, reader: R, writer: std::io::Result<W>)
+    where
+        R: Read + Send + 'static,
+        W: Write + Send + 'static,
+    {
+        let (finished, live): (Vec<_>, Vec<_>) =
+            handles.drain(..).partition(JoinHandle::is_finished);
+        *handles = live;
+        for h in finished {
+            let _ = h.join();
+        }
+        if handles.len() >= MAX_CONNECTIONS {
+            // Counted like any other `ok:false` answer.
+            self.shared.requests.fetch_add(1, Ordering::Relaxed);
+            self.shared.errors.fetch_add(1, Ordering::Relaxed);
+            if let Ok(mut w) = writer {
+                let busy = Response::err(
+                    0,
+                    format!("server busy: {MAX_CONNECTIONS} connections open; retry later"),
+                );
+                let _ = write_response(&mut w, &busy);
+            }
+            return;
+        }
+        let shared = Arc::clone(&self.shared);
+        handles.push(std::thread::spawn(move || {
+            handle_connection(&shared, reader, writer);
+        }));
+    }
+
     /// A handle that makes [`Server::run`] return (equivalent to a client
     /// `shutdown` request) — for embedding the daemon in tests and benches.
     pub fn stop_handle(&self) -> StopHandle {
@@ -258,38 +303,42 @@ impl StopHandle {
 
 /// Serve one connection: JSON-lines requests in, responses out, in order.
 /// Generic over the stream so TCP and Unix sockets share the code.
-fn handle_connection<R: std::io::Read>(
-    shared: &Shared,
-    reader: R,
-    writer: std::io::Result<impl Write>,
-) {
+fn handle_connection<R: Read>(shared: &Shared, reader: R, writer: std::io::Result<impl Write>) {
     let Ok(mut writer) = writer else { return };
     let mut reader = BufReader::new(reader);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut oversized = false;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let (resp, shutdown) = dispatch(shared, &line);
+        match read_request_line(&mut reader, &mut line, &mut oversized) {
+            Ok(false) => return, // client closed
+            Ok(true) => {
+                let answer = if std::mem::take(&mut oversized) {
+                    Some((
+                        Response::err(
+                            0,
+                            format!("request line exceeds {MAX_LINE_BYTES} bytes; discarded"),
+                        ),
+                        false,
+                    ))
+                } else {
+                    match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => None,
+                        Ok(text) => Some(dispatch(shared, text)),
+                        Err(e) => Some((Response::err(0, format!("bad request: {e}")), false)),
+                    }
+                };
                 line.clear();
+                let Some((resp, shutdown)) = answer else {
+                    continue;
+                };
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 if !resp.ok {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                 }
-                let Ok(body) = serde_json::to_string(&resp) else {
-                    return;
-                };
-                if writeln!(writer, "{body}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if write_response(&mut writer, &resp).is_err() {
                     return;
                 }
                 if shutdown {
@@ -297,8 +346,8 @@ fn handle_connection<R: std::io::Read>(
                     return;
                 }
             }
-            // Timeout polls: partial data stays buffered in `line`, the
-            // next read appends the rest of the request.
+            // Timeout polls: the partial line (or the discard state) stays
+            // in `line` / `oversized`; the next read carries on from it.
             Err(e)
                 if matches!(
                     e.kind(),
@@ -309,6 +358,48 @@ fn handle_connection<R: std::io::Read>(
             Err(_) => return,
         }
     }
+}
+
+/// Read up to the next newline into `line`, keeping at most
+/// [`MAX_LINE_BYTES`]: past the cap, `line` is emptied, `oversized` set,
+/// and the rest of the line is consumed unbuffered. `Ok(true)` when a line
+/// is complete (or cut short by end of stream), `Ok(false)` at end of
+/// stream with nothing pending.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    oversized: &mut bool,
+) -> std::io::Result<bool> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(!line.is_empty() || *oversized);
+        }
+        let (len, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), false),
+        };
+        if !*oversized {
+            if line.len() + len > MAX_LINE_BYTES {
+                *oversized = true;
+                *line = Vec::new();
+            } else {
+                line.extend_from_slice(&buf[..len]);
+            }
+        }
+        reader.consume(len);
+        if done {
+            return Ok(true);
+        }
+    }
+}
+
+/// Write one response line and flush it.
+fn write_response(writer: &mut impl Write, resp: &Response) -> std::io::Result<()> {
+    let body = serde_json::to_string(resp)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    writeln!(writer, "{body}")?;
+    writer.flush()
 }
 
 /// Decode and execute one request line. Returns the response and whether

@@ -170,3 +170,90 @@ fn inline_ddg_with_a_dangling_edge_is_a_typed_error() {
     stop.stop();
     daemon.join().expect("daemon thread");
 }
+
+/// Read one response line from a raw connection.
+fn read_response(reader: &mut impl std::io::BufRead) -> hca_serve::Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response line");
+    serde_json::from_str(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_connection_keeps_serving() {
+    use std::io::{BufReader, Write};
+
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let stop = server.stop_handle();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run().expect("server run"));
+
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    // 16 MiB of one unterminated JSON string, well past the line cap.
+    writer.write_all(br#"{"id":1,"op":"ping","pad":""#).unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..16 {
+        writer.write_all(&chunk).unwrap();
+    }
+    writer.write_all(b"\"}\n").unwrap();
+    let refused = read_response(&mut reader);
+    assert!(!refused.ok);
+    assert!(
+        refused.error.as_deref().unwrap_or("").contains("exceeds"),
+        "{refused:?}"
+    );
+    // The rest of the oversized line was discarded: the next request on
+    // the same connection is answered normally.
+    writer.write_all(b"{\"id\":2,\"op\":\"ping\"}\n").unwrap();
+    let pong = read_response(&mut reader);
+    assert!(pong.ok && pong.id == 2, "{pong:?}");
+
+    stop.stop();
+    daemon.join().expect("daemon thread");
+}
+
+#[test]
+fn a_connection_over_the_cap_is_refused_and_reaped_slots_are_reused() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let stop = server.stop_handle();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run().expect("server run"));
+
+    // Well past the daemon's connection cap; none of them sends anything.
+    let conns: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    let last = conns.last().unwrap().try_clone().unwrap();
+    last.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let busy = read_response(&mut BufReader::new(last));
+    assert!(!busy.ok);
+    assert!(
+        busy.error.as_deref().unwrap_or("").contains("busy"),
+        "{busy:?}"
+    );
+    // A connection under the cap is served.
+    let mut first = conns[0].try_clone().unwrap();
+    first.write_all(b"{\"id\":7,\"op\":\"ping\"}\n").unwrap();
+    let pong = read_response(&mut BufReader::new(first));
+    assert!(pong.ok && pong.id == 7, "{pong:?}");
+    drop(conns);
+    // Closed connections' handlers finish and are reaped at the next
+    // accept: a fresh client gets in (retry while the handlers wind down).
+    let mut served = false;
+    for _ in 0..200 {
+        if Client::connect_tcp(&addr).is_ok_and(|mut c| c.ping().is_ok()) {
+            served = true;
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(served, "no connection admitted after the others closed");
+
+    stop.stop();
+    daemon.join().expect("daemon thread");
+}

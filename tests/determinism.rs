@@ -1,29 +1,77 @@
 //! Thread-count invariance of the whole pipeline.
 //!
 //! The `hca-par` pool guarantees results are merged in input order, and the
-//! driver/SEE merge logic is written so scheduling decides only *who*
-//! computes, never *what* comes out. These tests pin that contract: a full
-//! `table1` run with 1 worker and with 4 workers must agree on every
-//! assignment, every copy primitive, the final MII, and the search
-//! statistics (timing excluded — wall-clock is the one thing allowed to
-//! differ).
+//! driver's merge logic is written so scheduling decides only *who*
+//! computes, never *what* comes out. These tests pin that contract on every
+//! shipped path — the default config, the 5-variant portfolio `hca table1`
+//! runs, and the exact-small bound-exit path: runs at 1, 2 and 5 workers
+//! must agree on every assignment, every copy primitive, the final MII,
+//! the search statistics and every work counter (timing excluded —
+//! wall-clock is the one thing allowed to differ).
 
 use hca_repro::arch::DspFabric;
-use hca_repro::hca::{run_hca, HcaConfig, HcaResult};
-use hca_repro::see::{See, SeeConfig, SeeStats};
+use hca_repro::hca::{
+    run_hca, run_hca_obs, run_hca_portfolio_obs, HcaConfig, HcaResult, PortfolioMode,
+};
+use hca_repro::see::{See, SeeConfig};
 
 /// Serialises tests in this file: the thread override is process-global.
 static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Run the full pipeline on every Table-1 kernel at a given pool width.
-fn run_table1(threads: usize) -> Vec<(&'static str, HcaResult)> {
+/// The shipped compile paths of the Table-1 pipeline.
+#[derive(Clone, Copy, Debug)]
+enum Pipeline {
+    Default,
+    Portfolio,
+    ExactSmall,
+}
+
+/// Every non-timing work counter (and histogram bucket) of `res`'s
+/// metrics, in name order.
+fn work_counters(res: &HcaResult) -> Vec<(String, Vec<u64>)> {
+    let m = res.metrics.as_ref().expect("enabled observer snapshots");
+    let counted = |name: &str| {
+        ["see.", "mapper.", "driver.", "portfolio."]
+            .iter()
+            .any(|p| name.starts_with(p))
+            && !name.ends_with("_us")
+            && !name.ends_with("_ms")
+            && !name.contains("step_time")
+    };
+    let counters = m
+        .counters
+        .iter()
+        .filter(|c| counted(&c.name))
+        .map(|c| (c.name.clone(), vec![c.value]));
+    let histograms = m
+        .histograms
+        .iter()
+        .filter(|h| counted(&h.name))
+        .map(|h| (h.name.clone(), h.buckets.clone()));
+    counters.chain(histograms).collect()
+}
+
+/// Run `path` on every Table-1 kernel at a given pool width, each under a
+/// fresh enabled observer.
+fn run_table1(path: Pipeline, threads: usize) -> Vec<(&'static str, HcaResult)> {
     hca_par::set_thread_override(Some(threads));
     let fabric = DspFabric::standard(8, 8, 8);
     let out = hca_repro::kernels::table1_kernels()
         .into_iter()
         .map(|kernel| {
-            let res = run_hca(&kernel.ddg, &fabric, &HcaConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+            let obs = hca_obs::Obs::enabled();
+            let res = match path {
+                Pipeline::Default => run_hca_obs(&kernel.ddg, &fabric, &HcaConfig::default(), &obs),
+                Pipeline::Portfolio => run_hca_portfolio_obs(&kernel.ddg, &fabric, &obs),
+                Pipeline::ExactSmall => {
+                    let config = HcaConfig {
+                        portfolio: PortfolioMode::ExactSmall,
+                        ..HcaConfig::default()
+                    };
+                    run_hca_obs(&kernel.ddg, &fabric, &config, &obs)
+                }
+            }
+            .unwrap_or_else(|e| panic!("{path:?} {}: {e}", kernel.name));
             (kernel.name, res)
         })
         .collect();
@@ -34,56 +82,44 @@ fn run_table1(threads: usize) -> Vec<(&'static str, HcaResult)> {
 #[test]
 fn table1_pipeline_is_thread_count_invariant() {
     let _g = OVERRIDE_LOCK.lock().unwrap();
-    let seq = run_table1(1);
-    let par = run_table1(4);
-    for ((name, a), (_, b)) in seq.iter().zip(par.iter()) {
-        assert_eq!(a.placement, b.placement, "{name}: placements diverge");
-        assert_eq!(a.mii, b.mii, "{name}: MII reports diverge");
-        assert_eq!(a.stats, b.stats, "{name}: run statistics diverge");
-        assert_eq!(
-            a.final_program.placement, b.final_program.placement,
-            "{name}: final-program placements diverge"
-        );
-        assert_eq!(
-            a.final_program.recv_nodes, b.final_program.recv_nodes,
-            "{name}: copy (recv) primitives diverge"
-        );
-        assert_eq!(
-            a.final_program.route_nodes, b.final_program.route_nodes,
-            "{name}: route primitives diverge"
-        );
-        assert!(a.is_legal(), "{name}: sequential run illegal");
-        assert!(b.is_legal(), "{name}: parallel run illegal");
+    for path in [Pipeline::Default, Pipeline::Portfolio, Pipeline::ExactSmall] {
+        let seq = run_table1(path, 1);
+        for threads in [2, 5] {
+            let par = run_table1(path, threads);
+            for ((name, a), (_, b)) in seq.iter().zip(par.iter()) {
+                let at = format!("{path:?} {name} @ {threads} threads");
+                assert_eq!(a.placement, b.placement, "{at}: placements diverge");
+                assert_eq!(a.mii, b.mii, "{at}: MII reports diverge");
+                assert_eq!(a.stats, b.stats, "{at}: run statistics diverge");
+                assert_eq!(
+                    a.final_program.placement, b.final_program.placement,
+                    "{at}: final-program placements diverge"
+                );
+                assert_eq!(
+                    a.final_program.recv_nodes, b.final_program.recv_nodes,
+                    "{at}: copy (recv) primitives diverge"
+                );
+                assert_eq!(
+                    a.final_program.route_nodes, b.final_program.route_nodes,
+                    "{at}: route primitives diverge"
+                );
+                assert_eq!(
+                    work_counters(a),
+                    work_counters(b),
+                    "{at}: work counters diverge"
+                );
+                assert!(a.is_legal(), "{path:?} {name}: sequential run illegal");
+                assert!(b.is_legal(), "{at}: parallel run illegal");
+            }
+        }
     }
-}
-
-/// Everything in [`SeeStats`] except per-step wall-clock must match.
-fn assert_stats_match(a: &SeeStats, b: &SeeStats, name: &str) {
-    assert_eq!(a.states_explored, b.states_explored, "{name}");
-    assert_eq!(a.states_pruned, b.states_pruned, "{name}");
-    assert_eq!(a.cand_rejected_margin, b.cand_rejected_margin, "{name}");
-    assert_eq!(a.cand_rejected_branch, b.cand_rejected_branch, "{name}");
-    assert_eq!(a.route_attempts, b.route_attempts, "{name}");
-    assert_eq!(a.routed_nodes, b.routed_nodes, "{name}");
-    assert_eq!(a.routed_hops, b.routed_hops, "{name}");
-    assert_eq!(a.beam_occupancy, b.beam_occupancy, "{name}");
-    assert_eq!(a.peak_frontier_bytes, b.peak_frontier_bytes, "{name}");
-    assert_eq!(a.route_bfs_runs, b.route_bfs_runs, "{name}");
-    assert_eq!(a.route_cache_hits, b.route_cache_hits, "{name}");
-    assert_eq!(a.steps, b.steps, "{name}");
-    assert_eq!(a.beam_occupancy_sum, b.beam_occupancy_sum, "{name}");
-    assert_eq!(a.route_table_bytes, b.route_table_bytes, "{name}");
-    assert_eq!(a.arc_table_bytes, b.arc_table_bytes, "{name}");
-    assert_eq!(a.state_arena_bytes, b.state_arena_bytes, "{name}");
-    assert_eq!(a.step_time_ns.len(), b.step_time_ns.len(), "{name}");
-    // The scorer is mutation-free: reintroducing a per-candidate state
-    // clone in the hot loop must fail here, not show up as a perf cliff.
-    assert_eq!(a.state_clones, 0, "{name}: trial clones in the hot loop");
 }
 
 #[test]
 fn see_stats_invariant_holds_at_every_thread_count() {
-    let _g = OVERRIDE_LOCK.lock().unwrap();
+    // A SEE run is single-threaded whatever the pool width (the pool
+    // parallelises ladder tiers and sibling sub-problems above it), so
+    // this pins its accounting invariants on one run per kernel.
     use hca_repro::arch::ResourceTable;
     use hca_repro::ddg::analysis::DdgAnalysis;
     use hca_repro::pg::{ArchConstraints, Pg};
@@ -97,39 +133,33 @@ fn see_stats_invariant_holds_at_every_thread_count() {
     for kernel in hca_repro::kernels::table1_kernels() {
         let analysis = DdgAnalysis::compute(&kernel.ddg).unwrap();
         let pg = Pg::complete(8, ResourceTable::of_cns(8));
-        let mut runs = Vec::new();
-        for threads in [1usize, 4] {
-            hca_par::set_thread_override(Some(threads));
-            let see = See::new(
-                &kernel.ddg,
-                &analysis,
-                &pg,
-                constraints,
-                SeeConfig::default(),
-            );
-            let outcome = see
-                .run(None)
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            // Every scored candidate is either pruned or survives into a
-            // beam — the delta-state rework must not break this accounting.
-            // (`beam_occupancy_sum` is the exact running total; the vector
-            // is a bounded sample of it.)
-            assert_eq!(
-                outcome.stats.states_explored,
-                outcome.stats.states_pruned + outcome.stats.beam_occupancy_sum,
-                "{} @ {threads} threads: explored != pruned + Σ occupancy",
-                kernel.name
-            );
-            runs.push(outcome);
-        }
-        hca_par::set_thread_override(None);
-        assert_eq!(runs[0].cost, runs[1].cost, "{}: costs diverge", kernel.name);
+        let see = See::new(
+            &kernel.ddg,
+            &analysis,
+            &pg,
+            constraints,
+            SeeConfig::default(),
+        );
+        let outcome = see
+            .run(None)
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        // Every scored candidate is either pruned or survives into a
+        // beam — the delta-state rework must not break this accounting.
+        // (`beam_occupancy_sum` is the exact running total; the vector
+        // is a bounded sample of it.)
         assert_eq!(
-            runs[0].est_mii, runs[1].est_mii,
-            "{}: estimated MII diverges",
+            outcome.stats.states_explored,
+            outcome.stats.states_pruned + outcome.stats.beam_occupancy_sum,
+            "{}: explored != pruned + Σ occupancy",
             kernel.name
         );
-        assert_stats_match(&runs[0].stats, &runs[1].stats, kernel.name);
+        // The scorer is mutation-free: reintroducing a per-candidate state
+        // clone in the hot loop must fail here, not show up as a perf cliff.
+        assert_eq!(
+            outcome.stats.state_clones, 0,
+            "{}: trial clones in the hot loop",
+            kernel.name
+        );
     }
 }
 
