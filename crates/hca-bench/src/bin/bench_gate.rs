@@ -65,11 +65,6 @@ const HISTORY_COUNTERS: &[&str] = &[
     "see.state_arena_bytes",
     "see.state_clones",
     "driver.subproblems",
-    "driver.memo_hits",
-    "driver.memo_misses",
-    "driver.memo_evictions",
-    "driver.memo_bytes",
-    "driver.memo_entries",
     "driver.fallbacks",
     "portfolio.bounds_computed",
     "portfolio.bound_exits",
@@ -125,8 +120,8 @@ fn median(samples: &[f64]) -> f64 {
 /// Run the fixed gate workload and return one wall-clock figure per kernel:
 /// best-of-3 back-to-back runs by default, or the median of `interleave`
 /// rounds that alternate over the cases. Beyond the four paper kernels, a
-/// seeded 512-node synthetic DAG stresses the sub-problem memoization and
-/// frontier caches at a size where the Table-1 loops barely exercise them,
+/// seeded 512-node synthetic DAG stresses the search at a size the
+/// Table-1 loops never reach,
 /// and `+exact` variants of the paper kernels time the exact/beam portfolio
 /// (and feed its `portfolio.*` counters into the history trajectory).
 fn measure(interleave: Option<usize>) -> Vec<GateCase> {

@@ -1,14 +1,14 @@
 //! **Serve load generator** — boots an in-process `hca serve` daemon,
 //! hammers it from concurrent client connections with a near-duplicate
 //! kernel mix, and reports requests/s with p50/p99 latency plus the
-//! daemon's cache counters. The whole point of the daemon is cross-request
-//! memoisation, so `--expect-hits` turns "the cache actually hit" into an
-//! exit code for CI.
+//! daemon's result-cache counters. The mix repeats jobs exactly, so
+//! `--expect-hits` turns "repeat jobs were answered from the cache" into
+//! an exit code for CI.
 //!
 //! ```text
 //! cargo run --release -p hca-bench --bin bench_serve
 //! cargo run --release -p hca-bench --bin bench_serve -- \
-//!     --requests 400 --clients 8 --snapshot /tmp/serve.snap --expect-hits
+//!     --requests 400 --clients 8 --expect-hits
 //! ```
 //!
 //! Each invocation appends one `serve` record to `BENCH_history.jsonl`
@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// The request mix: near-duplicate traffic, the daemon's target workload.
-/// Every kernel appears many times per run, so a working cross-request
-/// cache must hit from the second occurrence on.
+/// Every job appears many times per run, so the result cache must hit
+/// from the second occurrence on.
 const MIX: &[&str] = &[
     "fir2dim",
     "idcthor",
@@ -41,7 +41,6 @@ const MIX: &[&str] = &[
 struct Args {
     requests: usize,
     clients: usize,
-    snapshot: Option<PathBuf>,
     expect_hits: bool,
 }
 
@@ -57,11 +56,6 @@ fn parse_args() -> Args {
     Args {
         requests: num("--requests", 200).max(1),
         clients: num("--clients", 4).clamp(1, 64),
-        snapshot: argv
-            .iter()
-            .position(|a| a == "--snapshot")
-            .and_then(|i| argv.get(i + 1))
-            .map(PathBuf::from),
         expect_hits: argv.iter().any(|a| a == "--expect-hits"),
     }
 }
@@ -132,11 +126,7 @@ fn append_history(case: HistoryCase) {
 fn main() {
     let args = parse_args();
 
-    let server = Server::bind(ServerConfig {
-        snapshot: args.snapshot.clone(),
-        ..ServerConfig::default()
-    })
-    .expect("bench_serve: bind");
+    let server = Server::bind(ServerConfig::default()).expect("bench_serve: bind");
     let addr = server.local_addr().to_string();
     let stop = server.stop_handle();
     let daemon = std::thread::spawn(move || server.run().expect("bench_serve: server run"));
@@ -186,9 +176,9 @@ fn main() {
     let rps = total as f64 / (wall_ms / 1e3);
     let p50 = percentile(&lat_us, 50.0);
     let p99 = percentile(&lat_us, 99.0);
-    let lookups = stats.memo_hits + stats.memo_misses;
+    let lookups = stats.cache_hits + stats.cache_misses;
     let hit_pct = if lookups > 0 {
-        stats.memo_hits as f64 / lookups as f64 * 100.0
+        stats.cache_hits as f64 / lookups as f64 * 100.0
     } else {
         0.0
     };
@@ -201,35 +191,23 @@ fn main() {
     println!("  latency p50  {:>10.2} ms", p50 as f64 / 1e3);
     println!("  latency p99  {:>10.2} ms", p99 as f64 / 1e3);
     println!(
-        "  memo         {} hits / {} misses ({hit_pct:.1}% of {lookups} lookups), \
-         {} evictions, {} entries, {} bytes",
-        stats.memo_hits,
-        stats.memo_misses,
-        stats.memo_evictions,
-        stats.memo_entries,
-        stats.memo_bytes
+        "  cache        {} hits / {} misses ({hit_pct:.1}% of {lookups} jobs), \
+         {} entries, {} bytes",
+        stats.cache_hits, stats.cache_misses, stats.cache_entries, stats.cache_bytes
     );
-    if stats.snapshot_entries > 0 {
-        println!(
-            "  snapshot     {} entries restored at boot",
-            stats.snapshot_entries
-        );
-    }
 
     let counters: BTreeMap<String, u64> = [
         ("serve.requests".to_string(), total as u64),
         ("serve.clients".to_string(), args.clients as u64),
         ("serve.p50_us".to_string(), p50),
         ("serve.p99_us".to_string(), p99),
-        ("serve.memo_hits".to_string(), stats.memo_hits),
-        ("serve.memo_misses".to_string(), stats.memo_misses),
-        ("serve.memo_evictions".to_string(), stats.memo_evictions),
-        ("serve.memo_entries".to_string(), stats.memo_entries as u64),
-        ("serve.memo_bytes".to_string(), stats.memo_bytes as u64),
+        ("serve.cache_hits".to_string(), stats.cache_hits),
+        ("serve.cache_misses".to_string(), stats.cache_misses),
         (
-            "serve.snapshot_entries".to_string(),
-            stats.snapshot_entries as u64,
+            "serve.cache_entries".to_string(),
+            stats.cache_entries as u64,
         ),
+        ("serve.cache_bytes".to_string(), stats.cache_bytes as u64),
     ]
     .into_iter()
     .collect();
@@ -239,11 +217,11 @@ fn main() {
         counters,
     });
 
-    if args.expect_hits && stats.memo_hits == 0 {
+    if args.expect_hits && stats.cache_hits == 0 {
         eprintln!(
-            "bench_serve FAILED: --expect-hits but the shared cache never hit \
-             ({} misses over {} requests of a near-duplicate mix)",
-            stats.memo_misses, total
+            "bench_serve FAILED: --expect-hits but the result cache never hit \
+             ({} misses over {} requests of a repeating mix)",
+            stats.cache_misses, total
         );
         std::process::exit(1);
     }

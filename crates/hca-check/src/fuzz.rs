@@ -81,10 +81,6 @@ pub struct GauntletConfig {
     pub quality_slack: u32,
     /// Worker count of the N-thread determinism run.
     pub threads: usize,
-    /// Run with the cross-sub-problem memo cache enabled
-    /// ([`HcaConfig::memo`]). The cache is argued result-transparent; a
-    /// gauntlet sweep with it on is the fuzz-side referee of that claim.
-    pub memo: bool,
 }
 
 impl Default for GauntletConfig {
@@ -94,7 +90,6 @@ impl Default for GauntletConfig {
             quality_factor: 3,
             quality_slack: 8,
             threads: 4,
-            memo: true,
         }
     }
 }
@@ -143,10 +138,7 @@ pub fn gauntlet(
     seed: u64,
 ) -> Result<GauntletReport, GauntletFailure> {
     let fail = |kind, detail: String| Err(GauntletFailure { kind, detail });
-    let hca_cfg = HcaConfig {
-        memo: cfg.memo,
-        ..HcaConfig::strict()
-    };
+    let hca_cfg = HcaConfig::strict();
 
     // 1. Strict HCA run (single-threaded for reproducibility; the
     //    determinism stage covers the parallel path).
@@ -235,8 +227,7 @@ pub fn gauntlet(
         return fail(CheckKind::Journal, e);
     }
 
-    // 6. Thread-count determinism. With the memo on this also pins that
-    //    cache hits, whose order varies with scheduling, stay invisible.
+    // 6. Thread-count determinism.
     hca_par::set_thread_override(Some(cfg.threads.max(2)));
     let par = run_hca(ddg, fabric, &hca_cfg);
     hca_par::set_thread_override(None);

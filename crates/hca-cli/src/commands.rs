@@ -304,10 +304,7 @@ pub(crate) fn cmd_fuzz(opts: &Options) -> Result<(), String> {
         base_seed: opts.seed,
         max_nodes: opts.max_nodes,
         out_dir: opts.out.as_deref().map(std::path::PathBuf::from),
-        gauntlet: GauntletConfig {
-            memo: opts.memo,
-            ..GauntletConfig::default()
-        },
+        gauntlet: GauntletConfig::default(),
     };
     println!(
         "fuzz: {} seeds from {} (kernels ≤ {} nodes) on a {}-CN machine",
@@ -429,8 +426,6 @@ pub(crate) fn cmd_serve(opts: &Options) -> Result<(), String> {
     };
     let cfg = ServerConfig {
         bind,
-        snapshot: opts.snapshot.as_ref().map(std::path::PathBuf::from),
-        memo_budget: opts.memo_budget.unwrap_or(hca_core::Memo::DEFAULT_BUDGET),
         hca: opts.hca_config(),
     };
     let server = Server::bind(cfg).map_err(|e| format!("serve: {e}"))?;
@@ -441,14 +436,13 @@ pub(crate) fn cmd_serve(opts: &Options) -> Result<(), String> {
     let _ = std::io::stdout().flush();
     let stats = server.run().map_err(|e| format!("serve: {e}"))?;
     eprintln!(
-        "hca-serve: {} requests ({} errors), cache {} hits / {} misses / {} evictions, {} entries ({} bytes) at exit",
+        "hca-serve: {} requests ({} errors), cache {} hits / {} misses, {} entries ({} bytes) at exit",
         stats.requests,
         stats.errors,
-        stats.memo_hits,
-        stats.memo_misses,
-        stats.memo_evictions,
-        stats.memo_entries,
-        stats.memo_bytes,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.cache_entries,
+        stats.cache_bytes,
     );
     Ok(())
 }

@@ -57,7 +57,6 @@ struct SubReport {
     ws: u32,
     ili_in: u32,
     ili_out: u32,
-    memo: Option<bool>,
     /// `(tier, ok, est_mii, why)` in attempt order.
     tiers: Vec<(u32, bool, u32, String)>,
     solved: Option<TraceRecord>,
@@ -83,7 +82,6 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
                 (s.depth, s.ws, s.ili_in, s.ili_out) = (r.depth, r.ws, r.ili_in, r.ili_out);
                 depth_stats.entry(r.depth).or_default().0 += 1;
             }
-            kind::MEMO => subs.entry(r.problem.clone()).or_default().memo = Some(r.ok),
             kind::STEP => {
                 let s = subs.entry(r.problem.clone()).or_default();
                 s.steps += 1;
@@ -154,26 +152,11 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
         let _ = writeln!(out, "  route-rescue steps {rescued_steps:>10}");
     }
 
-    let (memo_hits, memo_lookups) = subs.values().fold((0u64, 0u64), |(h, n), s| match s.memo {
-        Some(true) => (h + 1, n + 1),
-        Some(false) => (h, n + 1),
-        None => (h, n),
-    });
-    let _ = writeln!(out, "\ncache efficiency:");
-    if memo_lookups > 0 {
-        let _ = writeln!(
-            out,
-            "  memo:        {memo_hits} hits / {memo_lookups} lookups ({:.1}%)",
-            memo_hits as f64 * 100.0 / memo_lookups as f64
-        );
-    } else {
-        let _ = writeln!(out, "  memo:        no lookups recorded");
-    }
     let route_queries = route_bfs + route_hits;
     if route_queries > 0 {
         let _ = writeln!(
             out,
-            "  route table: {route_hits} static answers / {route_queries} queries ({:.1}%)",
+            "\ncache efficiency:\n  route table: {route_hits} static answers / {route_queries} queries ({:.1}%)",
             route_hits as f64 * 100.0 / route_queries as f64
         );
     }
@@ -228,10 +211,6 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
     let shown = by_time.len().min(12);
     let _ = writeln!(out, "\nheaviest sub-problems ({shown} of {}):", subs.len());
     for (id, s) in by_time.iter().take(shown) {
-        let memo = match s.memo {
-            Some(true) => "  memo hit",
-            _ => "",
-        };
         let outcome = match &s.solved {
             Some(r) => {
                 let tier = if r.tier == FALLBACK_TIER {
@@ -243,7 +222,6 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
                 };
                 format!("{tier}  est MII {} ({})", r.est_mii, r.why)
             }
-            None if s.memo == Some(true) => "(rehydrated)".to_string(),
             None => "(unsolved)".to_string(),
         };
         let failed = s.tiers.iter().filter(|t| !t.1).count();
@@ -254,7 +232,7 @@ pub(crate) fn explain_report(title: &str, records: &[TraceRecord]) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<12} d{} ws {:<3} {outcome}  {} steps  {:.3} ms{memo}{tier_note}",
+            "  {:<12} d{} ws {:<3} {outcome}  {} steps  {:.3} ms{tier_note}",
             if id.is_empty() { "(root)" } else { id.as_str() },
             s.depth,
             s.ws,
@@ -471,12 +449,6 @@ mod tests {
             },
             TraceRecord {
                 problem: "0".into(),
-                ok: false,
-                why: "miss".into(),
-                ..rec(kind::MEMO)
-            },
-            TraceRecord {
-                problem: "0".into(),
                 step: 0,
                 ns: 1_000_000,
                 explored: 10,
@@ -515,7 +487,6 @@ mod tests {
             report.contains("final MII 4 — bound by recurrence"),
             "{report}"
         );
-        assert!(report.contains("0 hits / 1 lookups"), "{report}");
         assert!(
             report.contains("9 static answers / 10 queries (90.0%)"),
             "{report}"

@@ -132,10 +132,9 @@ commands:
   serve                        long-running compile daemon: JSON-lines
                                requests over TCP (--bind, default
                                127.0.0.1:7878) or a Unix socket (--socket),
-                               all connections sharing one byte-budgeted
-                               sub-problem cache; --snapshot F persists the
-                               cache across restarts (versioned; a stale
-                               snapshot starts cold). Ops: ping, compile,
+                               all connections sharing one result cache
+                               that answers exact repeat jobs without
+                               solving again. Ops: ping, compile,
                                compile_batch, stats, crash, shutdown —
                                e.g. {\"id\":1,\"op\":\"compile\",\"kernel\":\"fir2dim\"}
 
@@ -158,17 +157,11 @@ fuzz options:
   --max-nodes N      largest generated kernel   (default 24)
   --out DIR          shrunk-reproducer directory (default fuzz-failures;
                      `--out -` disables writing)
-  --no-memo          disable the cross-sub-problem memo cache for the
-                     gauntlet runs (the cache is on by default)
 
 serve options:
   --bind ADDR        TCP listen address (default 127.0.0.1:7878; :0 picks
                      a free port, printed on stdout)
   --socket PATH      listen on a Unix-domain socket instead of TCP
-  --snapshot F       load the cache snapshot from F on start (when valid)
-                     and write it back on clean shutdown
-  --memo-budget B    cache byte budget, with optional k/m/g suffix
-                     (default 64m)
 
 observability:
   --metrics-out F    write a RunMetrics JSON report (phase timings, SEE /
@@ -206,11 +199,8 @@ pub(crate) struct Options {
     pub seed: u64,
     pub max_nodes: usize,
     pub out: Option<String>,
-    pub memo: bool,
     pub bind: Option<String>,
     pub socket: Option<String>,
-    pub snapshot: Option<String>,
-    pub memo_budget: Option<usize>,
 }
 
 impl Options {
@@ -236,11 +226,8 @@ impl Options {
             seed: 1,
             max_nodes: 24,
             out: Some("fuzz-failures".into()),
-            memo: true,
             bind: None,
             socket: None,
-            snapshot: None,
-            memo_budget: None,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -326,7 +313,6 @@ impl Options {
                     let v = it.next().ok_or("--out needs a directory (or `-`)")?;
                     o.out = (v != "-").then(|| v.clone());
                 }
-                "--no-memo" => o.memo = false,
                 "--bind" => {
                     let v = it.next().ok_or("--bind needs an ip:port address")?;
                     o.bind = Some(v.clone());
@@ -334,14 +320,6 @@ impl Options {
                 "--socket" => {
                     let v = it.next().ok_or("--socket needs a path")?;
                     o.socket = Some(v.clone());
-                }
-                "--snapshot" => {
-                    let v = it.next().ok_or("--snapshot needs a path")?;
-                    o.snapshot = Some(v.clone());
-                }
-                "--memo-budget" => {
-                    let v = it.next().ok_or("--memo-budget needs bytes (k/m/g ok)")?;
-                    o.memo_budget = Some(parse_bytes(v)?);
                 }
                 "-v" | "--verbose" => o.verbose = true,
                 "--dot" => o.dot = true,
@@ -512,24 +490,6 @@ pub(crate) fn write_json(path: &str, value: &impl serde::Serialize) -> Result<()
     let mut body = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
     body.push('\n');
     std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))
-}
-
-/// Parse a byte count with an optional `k`/`m`/`g` suffix: `64m` → 64 MiB.
-fn parse_bytes(v: &str) -> Result<usize, String> {
-    let v = v.trim();
-    let (digits, shift) = match v.as_bytes().last() {
-        Some(b'k' | b'K') => (&v[..v.len() - 1], 10),
-        Some(b'm' | b'M') => (&v[..v.len() - 1], 20),
-        Some(b'g' | b'G') => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
-    };
-    let n: usize = digits
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad byte count `{v}`"))?;
-    n.checked_shl(shift)
-        .filter(|scaled| scaled >> shift == n)
-        .ok_or_else(|| format!("byte count `{v}` overflows"))
 }
 
 /// Insert `tag` before the file extension: `trace.json` → `trace.fir2dim.json`.

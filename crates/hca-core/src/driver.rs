@@ -91,19 +91,6 @@ pub struct HcaConfig {
     pub see: SeeConfig,
     /// Post-pass validation policy (see [`ValidationLevel`]).
     pub validation: ValidationLevel,
-    /// Memoise solved sub-problems under a renumbering-equivariant
-    /// canonical key and reuse them for isomorphic sub-problems within the
-    /// run (and across portfolio variants). Cached results are bit-exact
-    /// replays; disable to compare.
-    pub memo: bool,
-    /// Byte budget of the run-private memo cache (when [`memo`] is on and
-    /// no shared cache is supplied). Least-recently-used entries are
-    /// evicted past the budget; eviction can only turn hits into misses,
-    /// never change results. `0` caches nothing. Shared caches
-    /// ([`run_hca_shared`]) carry their own budget and ignore this knob.
-    ///
-    /// [`memo`]: HcaConfig::memo
-    pub memo_budget: usize,
     /// Exact/beam portfolio policy (see [`PortfolioMode`]). The default
     /// [`PortfolioMode::BeamOnly`] leaves the driver bit-identical to its
     /// pre-portfolio behaviour.
@@ -115,8 +102,6 @@ impl Default for HcaConfig {
         HcaConfig {
             see: SeeConfig::default(),
             validation: ValidationLevel::Report,
-            memo: true,
-            memo_budget: crate::memo::Memo::DEFAULT_BUDGET,
             portfolio: PortfolioMode::BeamOnly,
         }
     }
@@ -212,9 +197,8 @@ impl fmt::Display for HcaError {
 
 impl std::error::Error for HcaError {}
 
-/// Aggregate run statistics. Serialisable because solved subtrees carry
-/// their stats through the memo cache's on-disk snapshots.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Aggregate run statistics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HcaStats {
     /// Sub-problems solved (tree nodes visited).
     pub subproblems: usize,
@@ -229,7 +213,6 @@ pub struct HcaStats {
     /// Sub-problems where the portfolio's exact backend displaced the beam
     /// result. Zero on every beam-only run; the driver uses it to decide
     /// whether the global never-worse guard needs a beam-alone re-run.
-    #[serde(default)]
     pub exact_wins: usize,
 }
 
@@ -349,11 +332,6 @@ struct SolveCtx<'a> {
     obs: &'a Obs,
     analysis: &'a DdgAnalysis,
     theo_mii: u32,
-    /// Topological position per DDG node (the memo cache is DDG-independent,
-    /// so the run supplies this table to the key canonicaliser).
-    topo_pos: &'a [usize],
-    /// Sub-problem cache ([`HcaConfig::memo`]); `None` when disabled.
-    memo: Option<&'a crate::memo::Memo>,
     /// Search-trace recorder ([`run_hca_traced`]); disabled elsewhere.
     tracer: &'a SearchTracer,
 }
@@ -367,13 +345,13 @@ struct SolveCtx<'a> {
 /// order, route-op order, topology groups) are bit-identical whatever the
 /// `HCA_THREADS` count.
 #[derive(Default)]
-pub(crate) struct SubResult {
-    pub(crate) placement: Vec<(NodeId, CnId)>,
-    pub(crate) route_ops: Vec<(NodeId, CnId)>,
-    pub(crate) groups: Vec<(Vec<usize>, GroupTopology)>,
-    pub(crate) stats: HcaStats,
+struct SubResult {
+    placement: Vec<(NodeId, CnId)>,
+    route_ops: Vec<(NodeId, CnId)>,
+    groups: Vec<(Vec<usize>, GroupTopology)>,
+    stats: HcaStats,
     /// `est_mii` of the level-0 outcome (1 everywhere below the root).
-    pub(crate) ini_mii: u32,
+    ini_mii: u32,
 }
 
 /// Fold a child subtree's statistics into the parent's.
@@ -397,15 +375,25 @@ pub fn run_hca_obs(
     config: &HcaConfig,
     obs: &Obs,
 ) -> Result<HcaResult, HcaError> {
-    run_hca_inner(ddg, fabric, config, obs, None, &SearchTracer::disabled())
+    run_hca_traced(ddg, fabric, config, obs, &SearchTracer::disabled())
 }
 
 /// [`run_hca_obs`] with a search-trace recorder: every sub-problem emits
-/// `sub` / `memo` / `tier` / `solved` records and every SEE run streams
+/// `sub` / `tier` / `solved` records and every SEE run streams
 /// per-step `step` records through the tracer (see
 /// [`hca_obs::trace`] for the schema). One run-level `mii` record closes
 /// the trace. With a disabled tracer this is exactly [`run_hca_obs`] —
 /// the trace hooks are no-op branches on the hot path.
+///
+/// When the exact backend displaced the beam result in at least one
+/// sub-problem, the *global* never-worse-than-beam guarantee does not
+/// follow from the per-sub-problem acceptance rule alone: a locally better
+/// level result (same estimated MII, fewer copies) can steer the greedy
+/// recursion into a worse final MII downstream. So this function re-runs
+/// the driver beam-only whenever `stats.exact_wins > 0` and keeps the
+/// result with the lower final MII (the exact-assisted one on ties). The
+/// extra run costs nothing in the common case — with zero exact wins the
+/// two runs are bit-identical and the guard never fires.
 pub fn run_hca_traced(
     ddg: &Ddg,
     fabric: &DspFabric,
@@ -413,56 +401,7 @@ pub fn run_hca_traced(
     obs: &Obs,
     tracer: &SearchTracer,
 ) -> Result<HcaResult, HcaError> {
-    run_hca_inner(ddg, fabric, config, obs, None, tracer)
-}
-
-/// [`run_hca_obs`] with an externally owned sub-problem cache. The cache
-/// outlives the run: a portfolio shares one across variants, and a serving
-/// daemon shares one across every request it ever handles. The memo key
-/// encodes the fabric and the full solving context, so one cache is sound
-/// across different kernels, machines and configurations — a hit happens
-/// exactly when a fresh solve would reproduce the cached bits. The shared
-/// cache is used regardless of [`HcaConfig::memo`] (passing it *is* the
-/// opt-in) and carries its own byte budget.
-pub fn run_hca_shared(
-    ddg: &Ddg,
-    fabric: &DspFabric,
-    config: &HcaConfig,
-    obs: &Obs,
-    memo: &crate::memo::Memo,
-) -> Result<HcaResult, HcaError> {
-    run_hca_inner(
-        ddg,
-        fabric,
-        config,
-        obs,
-        Some(memo),
-        &SearchTracer::disabled(),
-    )
-}
-
-/// [`run_hca_obs`] with an optional externally owned sub-problem cache, so
-/// a portfolio run can share one [`crate::memo::Memo`] across variants.
-/// With `None` (and [`HcaConfig::memo`] on) the run owns a private cache.
-///
-/// When the exact backend displaced the beam result in at least one
-/// sub-problem, the *global* never-worse-than-beam guarantee does not
-/// follow from the per-sub-problem acceptance rule alone: a locally better
-/// level result (same estimated MII, fewer copies) can steer the greedy
-/// recursion into a worse final MII downstream. So this wrapper re-runs
-/// the driver beam-only whenever `stats.exact_wins > 0` and keeps the
-/// result with the lower final MII (the exact-assisted one on ties). The
-/// extra run costs nothing in the common case — with zero exact wins the
-/// two runs are bit-identical and the guard never fires.
-fn run_hca_inner(
-    ddg: &Ddg,
-    fabric: &DspFabric,
-    config: &HcaConfig,
-    obs: &Obs,
-    shared_memo: Option<&crate::memo::Memo>,
-    tracer: &SearchTracer,
-) -> Result<HcaResult, HcaError> {
-    let res = run_hca_once(ddg, fabric, config, obs, shared_memo, tracer)?;
+    let res = run_hca_once(ddg, fabric, config, obs, tracer)?;
     if config.portfolio == PortfolioMode::BeamOnly || res.stats.exact_wins == 0 {
         return Ok(res);
     }
@@ -473,14 +412,7 @@ fn run_hca_inner(
     };
     // The guard run is untraced: a search trace describes one solve, and
     // the exact-assisted run above is the one being explained.
-    let beam = run_hca_once(
-        ddg,
-        fabric,
-        &beam_cfg,
-        obs,
-        shared_memo,
-        &SearchTracer::disabled(),
-    )?;
+    let beam = run_hca_once(ddg, fabric, &beam_cfg, obs, &SearchTracer::disabled())?;
     let beam_better = beam.mii.final_mii < res.mii.final_mii && beam.is_legal();
     let mut kept = if beam_better || (!res.is_legal() && beam.is_legal()) {
         obs.counter_add("portfolio.guard_kept_beam", 1);
@@ -498,7 +430,6 @@ fn run_hca_once(
     fabric: &DspFabric,
     config: &HcaConfig,
     obs: &Obs,
-    shared_memo: Option<&crate::memo::Memo>,
     tracer: &SearchTracer,
 ) -> Result<HcaResult, HcaError> {
     let analysis_span = obs.span("driver", "analysis");
@@ -506,23 +437,6 @@ fn run_hca_once(
     let theo_mii = crate::mii::theoretical_mii(analysis.mii_rec, ddg, fabric);
     drop(analysis_span);
 
-    let own_memo;
-    let memo: Option<&crate::memo::Memo> = match shared_memo {
-        // An explicit shared cache is the opt-in, whatever `config.memo`
-        // says — its owner decided the budget and lifetime.
-        Some(m) => Some(m),
-        None if config.memo => {
-            own_memo = Some(crate::memo::Memo::new(config.memo_budget));
-            own_memo.as_ref()
-        }
-        None => None,
-    };
-    // Topological position per node, for the memo key's relative-order
-    // encoding (the cache itself is DDG-independent).
-    let mut topo_pos = vec![usize::MAX; ddg.num_nodes()];
-    for (i, &n) in analysis.topo.iter().enumerate() {
-        topo_pos[n.index()] = i;
-    }
     let cx = SolveCtx {
         ddg,
         fabric,
@@ -530,8 +444,6 @@ fn run_hca_once(
         obs,
         analysis: &analysis,
         theo_mii,
-        topo_pos: &topo_pos,
-        memo,
         tracer,
     };
     let root = Subproblem::root(ddg.node_ids().collect());
@@ -608,14 +520,6 @@ fn run_hca_once(
     };
 
     if obs.is_enabled() {
-        if let Some(m) = memo {
-            // High-water marks, not sums: a shared portfolio (or daemon)
-            // cache reports its largest observed footprint, and evictions
-            // are a lifetime count over the cache, not this run.
-            obs.counter_max("driver.memo_bytes", m.approx_bytes() as u64);
-            obs.counter_max("driver.memo_entries", m.entries() as u64);
-            obs.counter_max("driver.memo_evictions", m.evictions());
-        }
         obs.counter_add("driver.subproblems", stats.subproblems as u64);
         obs.counter_add("driver.forwards", stats.forwards as u64);
         obs.counter_add("driver.wires", stats.wires as u64);
@@ -670,8 +574,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
         obs,
         analysis,
         theo_mii,
-        topo_pos,
-        memo,
         tracer,
     } = *cx;
     let trace_on = tracer.is_enabled();
@@ -685,38 +587,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             ili_out: sp.ili.outputs.len() as u32,
             ..TraceRecord::default()
         });
-    }
-    // Memoisation: answer isomorphic sub-problems from the cache. The key
-    // encodes the full solving context (see `memo` module docs), so a hit
-    // rehydrates to exactly what the solve below would have produced.
-    // A miss claims the key until this solve is cached (or abandoned), so
-    // a sibling solving the same sub-problem concurrently waits for it.
-    let mut memo_ctx = None;
-    if let Some(m) = memo {
-        let (key, canon2raw) =
-            crate::memo::canonicalise(topo_pos, ddg, analysis, config, theo_mii, fabric, sp);
-        let lookup = m.lookup(key);
-        if trace_on {
-            let was_hit = lookup.is_ok();
-            tracer.record(|| TraceRecord {
-                kind: kind::MEMO.to_string(),
-                problem: sp.id(),
-                depth: sp.depth() as u32,
-                ok: was_hit,
-                why: if was_hit { "hit" } else { "miss" }.to_string(),
-                ..TraceRecord::default()
-            });
-        }
-        match lookup {
-            Ok(hit) => {
-                obs.counter_add("driver.memo_hits", 1);
-                return Ok(crate::memo::rehydrate(&hit, &canon2raw, &sp.path, fabric));
-            }
-            Err(claim) => {
-                obs.counter_add("driver.memo_misses", 1);
-                memo_ctx = Some((claim, canon2raw));
-            }
-        }
     }
     let mut res = SubResult {
         ini_mii: 1,
@@ -1302,14 +1172,6 @@ fn solve_subproblem(cx: &SolveCtx<'_>, sp: &Subproblem) -> Result<SubResult, Hca
             merge_stats(&mut res.stats, &child.stats);
         }
     }
-    if let Some((claim, canon2raw)) = memo_ctx {
-        // Defensive: anything outside the canonical universe (which would
-        // make rehydration unsound) skips the cache instead of poisoning it.
-        match crate::memo::capture(&res, &canon2raw, &sp.path, fabric) {
-            Some(canon) => claim.fulfil(canon),
-            None => obs.counter_add("driver.memo_uncachable", 1),
-        }
-    }
     Ok(res)
 }
 
@@ -1349,19 +1211,13 @@ pub fn run_hca_portfolio_obs(
     ext.see.priority = hca_ddg::PriorityPolicy::ExternalOperandsFirst;
     variants.push(ext);
 
-    // One sub-problem cache shared by every variant: the memo key encodes
-    // the solving configuration, so cross-variant reuse happens exactly
-    // when two variants would solve a sub-problem identically.
-    let shared_memo = crate::memo::Memo::new(crate::memo::Memo::DEFAULT_BUDGET);
-
     let mut best: Option<HcaResult> = None;
     let mut last_err: Option<HcaError> = None;
     for (i, cfg) in variants.into_iter().enumerate() {
         let span = obs
             .span("driver", "portfolio_variant")
             .with_arg("variant", i);
-        let memo = if cfg.memo { Some(&shared_memo) } else { None };
-        let run = run_hca_inner(ddg, fabric, &cfg, obs, memo, &SearchTracer::disabled());
+        let run = run_hca_obs(ddg, fabric, &cfg, obs);
         drop(span);
         match run {
             Ok(res) => {

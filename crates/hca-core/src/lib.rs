@@ -30,7 +30,6 @@ pub mod coherency;
 pub mod decompose;
 pub mod driver;
 pub mod flat;
-mod memo;
 pub mod mii;
 pub mod post;
 pub mod problem;
@@ -39,11 +38,10 @@ pub mod report;
 
 pub use coherency::{check_coherency, CoherencyReport, Violation};
 pub use driver::{
-    run_hca, run_hca_obs, run_hca_portfolio, run_hca_portfolio_obs, run_hca_shared, run_hca_traced,
-    HcaConfig, HcaError, HcaResult, HcaStats, PortfolioMode, ValidationLevel,
+    run_hca, run_hca_obs, run_hca_portfolio, run_hca_portfolio_obs, run_hca_traced, HcaConfig,
+    HcaError, HcaResult, HcaStats, PortfolioMode, ValidationLevel,
 };
 pub use flat::run_flat;
-pub use memo::{Memo, SNAPSHOT_VERSION};
 pub use mii::MiiReport;
 pub use post::FinalProgram;
 pub use problem::Subproblem;

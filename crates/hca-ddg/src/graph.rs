@@ -11,6 +11,17 @@ use serde::{Deserialize, Serialize};
 use smallvec::SmallVec;
 use std::fmt;
 
+/// Largest latency or iteration distance [`Ddg::validate`] accepts on one
+/// edge. Real loop bodies stay in the tens of cycles; the bound keeps
+/// `II · distance` and per-path sums far from `u32` overflow.
+pub const MAX_EDGE_WEIGHT: u32 = 1 << 16;
+
+/// Largest sum of every edge latency [`Ddg::validate`] accepts. Every path
+/// and cycle latency sum — ASAP/height levels, the critical path, MIIRec —
+/// is at most this total, which leaves half of `u32` for the MII terms the
+/// cost model and the driver add on top.
+pub const MAX_TOTAL_LATENCY: u64 = 1 << 31;
+
 /// Index of a DDG node (instruction).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
@@ -137,13 +148,17 @@ impl Ddg {
     }
 
     /// Check the structure a deserialised graph carries: every edge
-    /// endpoint names a node, `succs`/`preds` have one row per node, and
-    /// every adjacency entry names an existing edge whose source (for
-    /// `succs`) or destination (for `preds`) is that row's node. Graphs
-    /// built through [`add_edge`](Ddg::add_edge) always pass; a file or
-    /// wire DDG must pass before any analysis indexes through it.
+    /// endpoint names a node, latencies and distances are at most
+    /// [`MAX_EDGE_WEIGHT`] and latencies sum to at most
+    /// [`MAX_TOTAL_LATENCY`], `succs`/`preds` have one row per node, every
+    /// adjacency entry names an existing edge whose source (for `succs`) or
+    /// destination (for `preds`) is that row's node, and every edge is
+    /// listed exactly once on each side. Graphs built through
+    /// [`add_edge`](Ddg::add_edge) with in-range weights always pass; a
+    /// file or wire DDG must pass before any analysis indexes through it.
     pub fn validate(&self) -> Result<(), DdgError> {
         let n = self.nodes.len();
+        let mut total_latency = 0u64;
         for (i, e) in self.edges.iter().enumerate() {
             if e.src.index() >= n || e.dst.index() >= n {
                 return Err(DdgError::Malformed(format!(
@@ -151,6 +166,19 @@ impl Ddg {
                     e.src, e.dst
                 )));
             }
+            if e.latency > MAX_EDGE_WEIGHT || e.distance > MAX_EDGE_WEIGHT {
+                return Err(DdgError::Malformed(format!(
+                    "edge {i} ({} -> {}) has latency {} and distance {}; \
+                     each must be at most {MAX_EDGE_WEIGHT}",
+                    e.src, e.dst, e.latency, e.distance
+                )));
+            }
+            total_latency += u64::from(e.latency);
+        }
+        if total_latency > MAX_TOTAL_LATENCY {
+            return Err(DdgError::Malformed(format!(
+                "edge latencies sum to {total_latency}, above {MAX_TOTAL_LATENCY}"
+            )));
         }
         for (side, rows) in [("succs", &self.succs), ("preds", &self.preds)] {
             if rows.len() != n {
@@ -159,6 +187,7 @@ impl Ddg {
                     rows.len()
                 )));
             }
+            let mut listed = vec![0usize; self.edges.len()];
             for (v, row) in rows.iter().enumerate() {
                 for &id in row {
                     let Some(e) = self.edges.get(id.index()) else {
@@ -174,7 +203,24 @@ impl Ddg {
                             id.0, e.src, e.dst
                         )));
                     }
+                    listed[id.index()] += 1;
                 }
+            }
+            // Entries were checked against their row above, so an edge's
+            // count is its count in `succs[src]` (or `preds[dst]`).
+            if let Some((i, (e, &k))) = self
+                .edges
+                .iter()
+                .zip(&listed)
+                .enumerate()
+                .find(|(_, (_, &k))| k != 1)
+            {
+                let row = if side == "succs" { e.src } else { e.dst };
+                return Err(DdgError::Malformed(format!(
+                    "edge {i} ({} -> {}) is listed {k} times in `{side}` of {row}; \
+                     expected once",
+                    e.src, e.dst
+                )));
             }
         }
         Ok(())
@@ -340,9 +386,53 @@ mod tests {
         unknown.succs[a.index()].push(EdgeId(40));
         assert!(unknown.validate().is_err());
 
-        let mut mismatched = g;
+        let mut mismatched = g.clone();
         mismatched.preds[d.index()].push(EdgeId(0)); // a -> b, not into d
         assert!(mismatched.validate().is_err());
+
+        let mut unlisted = g.clone();
+        for row in &mut unlisted.succs {
+            row.clear();
+        }
+        let err = unlisted.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("malformed DDG: edge 0 (n0 -> n1) is listed 0 times in `succs` of n0"),
+            "{err}"
+        );
+
+        let mut twice = g.clone();
+        let first = twice.preds[d.index()][0];
+        twice.preds[d.index()].push(first);
+        let err = twice.validate().unwrap_err().to_string();
+        assert!(err.contains("is listed 2 times in `preds` of n3"), "{err}");
+
+        let mut heavy = g.clone();
+        heavy.edges[0].latency = u32::MAX;
+        let err = heavy.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("edge 0 (n0 -> n1) has latency 4294967295"),
+            "{err}"
+        );
+
+        let mut far = g.clone();
+        far.edges[1].distance = MAX_EDGE_WEIGHT + 1;
+        assert!(far.validate().is_err());
+
+        let mut at_limit = g;
+        at_limit.edges[0].latency = MAX_EDGE_WEIGHT;
+        at_limit.edges[1].distance = MAX_EDGE_WEIGHT;
+        assert_eq!(at_limit.validate(), Ok(()));
+
+        // In-range edges whose latencies together pass the total bound.
+        let mut long = Ddg::new();
+        let x = long.add_node(Opcode::Add, None);
+        let y = long.add_node(Opcode::Add, None);
+        let edges = MAX_TOTAL_LATENCY / u64::from(MAX_EDGE_WEIGHT) + 1;
+        for _ in 0..edges {
+            long.add_edge(x, y, MAX_EDGE_WEIGHT, 0);
+        }
+        let err = long.validate().unwrap_err().to_string();
+        assert!(err.contains("edge latencies sum to"), "{err}");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod transform;
 
 pub use analysis::{AsapAlap, DdgAnalysis};
 pub use builder::DdgBuilder;
-pub use graph::{Ddg, DdgEdge, DdgNode, EdgeId, NodeId};
+pub use graph::{Ddg, DdgEdge, DdgNode, EdgeId, NodeId, MAX_EDGE_WEIGHT, MAX_TOTAL_LATENCY};
 pub use op::{LatencyModel, Opcode, ResourceClass};
 pub use priority::{PriorityOrder, PriorityPolicy};
 pub use transform::unroll;

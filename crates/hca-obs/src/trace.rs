@@ -3,10 +3,10 @@
 //!
 //! Where [`Obs`](crate::Obs) aggregates (counters, phase totals), a
 //! [`SearchTracer`] keeps the *sequence*: one [`TraceRecord`] per
-//! sub-problem, search tier, placement step, memo decision and MII
-//! attribution. The handle follows the same zero-cost contract as `Obs` —
-//! a disabled tracer is a `None` and [`SearchTracer::record`] never runs
-//! its closure, so instrumented hot paths pay one branch and nothing else.
+//! sub-problem, search tier, placement step and MII attribution. The
+//! handle follows the same zero-cost contract as `Obs` — a disabled tracer
+//! is a `None` and [`SearchTracer::record`] never runs its closure, so
+//! instrumented hot paths pay one branch and nothing else.
 //!
 //! Records stream to a JSONL file when the tracer was opened with
 //! [`SearchTracer::to_file`], and are always retained in memory for
@@ -25,8 +25,6 @@ pub mod kind {
     /// Driver: a sub-problem enters the solver (fields: `problem`, `depth`,
     /// `ws`, `ili_in`, `ili_out`).
     pub const SUB: &str = "sub";
-    /// Driver: memo-cache decision for a sub-problem (`why` = `hit`/`miss`).
-    pub const MEMO: &str = "memo";
     /// Engine: one placement step of one SEE tier (`step`, `node`, `beam`,
     /// pruning/rejection deltas, top-`k` `cands`, `ns`).
     pub const STEP: &str = "step";
@@ -135,7 +133,7 @@ pub struct TraceRecord {
     /// Routing queries answered from the static route table.
     #[serde(default)]
     pub route_hits: u64,
-    /// Reason text: tier error, memo `hit`/`miss`, or the name of the MII
+    /// Reason text: tier error, or the name of the MII
     /// component that bound the estimate (`recurrence`/`issue`/`arc`).
     #[serde(default)]
     pub why: String,
@@ -376,7 +374,7 @@ mod tests {
         });
         // Explicit problem wins over the scope.
         s.record(|| TraceRecord {
-            kind: kind::MEMO.to_string(),
+            kind: kind::SUB.to_string(),
             problem: "explicit".to_string(),
             ..TraceRecord::default()
         });

@@ -44,8 +44,12 @@ impl Client {
     pub fn call(&mut self, mut req: Request) -> Result<Response, String> {
         req.id = self.next_id;
         self.next_id += 1;
-        let line = serde_json::to_string(&req).map_err(|e| e.to_string())?;
-        writeln!(self.writer, "{line}")
+        let mut line = serde_json::to_string(&req).map_err(|e| e.to_string())?;
+        // One write per request line: a separate newline write would leave
+        // as its own segment and stall behind Nagle's algorithm.
+        line.push('\n');
+        self.writer
+            .write_all(line.as_bytes())
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("send: {e}"))?;
         let mut resp_line = String::new();
@@ -104,7 +108,7 @@ impl Client {
         resp.parse_result()
     }
 
-    /// `stats`: the daemon's cache and traffic counters.
+    /// `stats`: the daemon's result-cache and traffic counters.
     pub fn stats(&mut self) -> Result<StatsReport, String> {
         let resp = self.call(Request {
             op: "stats".into(),
@@ -129,7 +133,7 @@ impl Client {
         }
     }
 
-    /// `shutdown`: stop the daemon (it snapshots its cache on the way out).
+    /// `shutdown`: stop the daemon.
     pub fn shutdown(&mut self) -> Result<(), String> {
         let resp = self.call(Request {
             op: "shutdown".into(),
@@ -140,5 +144,40 @@ impl Client {
         } else {
             Err(resp.error.unwrap_or_else(|| "shutdown failed".into()))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// A sink that counts `write` calls.
+    struct CountingWriter(Arc<AtomicUsize>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_request_line_leaves_in_one_write() {
+        let writes = Arc::new(AtomicUsize::new(0));
+        let answers = b"{\"id\":1,\"ok\":true,\"result\":\"pong\"}\n\
+                        {\"id\":2,\"ok\":true,\"result\":\"pong\"}\n";
+        let mut client = Client {
+            reader: BufReader::new(Box::new(std::io::Cursor::new(answers.to_vec()))),
+            writer: Box::new(CountingWriter(Arc::clone(&writes))),
+            next_id: 1,
+        };
+        client.ping().unwrap();
+        client.ping().unwrap();
+        assert_eq!(writes.load(Ordering::Relaxed), 2, "one write per request");
     }
 }

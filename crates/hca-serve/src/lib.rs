@@ -1,24 +1,22 @@
 //! # hca-serve — the long-running HCA compilation daemon
 //!
-//! ROADMAP item 1: amortise sub-problem solving *across* runs. A fleet
-//! compiling near-duplicate kernels re-solves the same decomposition
-//! subtrees endlessly; this crate keeps one process alive with a shared,
-//! sharded, byte-budgeted [`Memo`](hca_core::Memo) cache so the second
-//! request for an isomorphic sub-problem is a lookup, not a search.
+//! One process answers compile requests over a socket. Every job runs the
+//! same uncached [`hca_core::run_hca_obs`] path a direct call runs; a
+//! byte-budgeted result cache keyed by the exact resolved job answers
+//! exact repeats without solving again.
 //!
 //! * [`protocol`] — the JSON-lines wire format (requests, responses,
 //!   [`CompileSummary`] with its bit-identity digest);
 //! * [`server`] — the daemon: TCP or Unix-socket accept loop, one thread
 //!   per connection, `compile_batch` fan-out over the [`hca_par`] worker
-//!   set with per-item panic isolation, snapshot-on-shutdown /
-//!   load-on-start cache persistence;
+//!   set with per-item panic isolation, the request-level result cache;
 //! * [`client`] — a small blocking client (benches, tests, CI);
 //! * [`kernels`] — server-side resolution of built-in kernel names.
 //!
-//! The cache is sound across requests because the memo key encodes the
-//! fabric and the full solving context (see `hca-core`'s `memo` module):
-//! a served result is bit-identical to a direct [`hca_core::run_hca`]
-//! call, cache hot or cold — `tests/determinism.rs` pins exactly that.
+//! A cached value is the summary of a direct run of that same job under
+//! the daemon's fixed configuration, so a served result is bit-identical
+//! to a direct [`hca_core::run_hca`] call, cache hot or cold —
+//! `tests/determinism.rs` pins exactly that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

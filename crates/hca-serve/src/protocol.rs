@@ -14,9 +14,9 @@
 //! → {"id":3,"op":"compile_batch","jobs":[{"kernel":"fir2dim"},{"kernel":"idcthor"}]}
 //! ← {"id":3,"ok":true,"result":[{"ok":true,"result":{...}},{"ok":true,"result":{...}}]}
 //! → {"id":4,"op":"stats"}
-//! ← {"id":4,"ok":true,"result":{"memo_hits":17,"memo_misses":40,...}}
+//! ← {"id":4,"ok":true,"result":{"cache_hits":1,"cache_misses":2,...}}
 //! → {"id":5,"op":"shutdown"}
-//! ← {"id":5,"ok":true,"result":"snapshot saved: 40 entries"}
+//! ← {"id":5,"ok":true,"result":"shutting down"}
 //! ```
 //!
 //! A malformed line still gets a response (`ok:false`, `id:0` when the id
@@ -145,29 +145,21 @@ pub struct CompileSummary {
     pub digest: String,
 }
 
-/// Cache and traffic counters served by the `stats` op.
+/// Result-cache and traffic counters served by the `stats` op.
 #[derive(Serialize, Deserialize, Clone, Debug, Default)]
 pub struct StatsReport {
-    /// Lifetime memo-cache hits (across every request since start).
-    pub memo_hits: u64,
-    /// Lifetime memo-cache misses.
-    pub memo_misses: u64,
-    /// Lifetime LRU evictions.
-    pub memo_evictions: u64,
-    /// Entries inserted since start.
-    pub memo_insertions: u64,
-    /// Cached sub-problems right now.
-    pub memo_entries: usize,
+    /// Compile jobs answered from the result cache since start.
+    pub cache_hits: u64,
+    /// Compile jobs that had to be solved.
+    pub cache_misses: u64,
+    /// Cached job results right now.
+    pub cache_entries: usize,
     /// Approximate cache footprint, bytes.
-    pub memo_bytes: usize,
-    /// Configured byte budget.
-    pub memo_budget: usize,
+    pub cache_bytes: usize,
     /// Requests handled since start (all ops).
     pub requests: u64,
     /// Requests answered with `ok:false`.
     pub errors: u64,
-    /// Entries restored from the startup snapshot (0 = cold start).
-    pub snapshot_entries: usize,
 }
 
 /// FNV-1a/64 running state.
@@ -267,7 +259,7 @@ mod tests {
     #[test]
     fn response_payload_round_trip() {
         let stats = StatsReport {
-            memo_hits: 3,
+            cache_hits: 3,
             requests: 9,
             ..StatsReport::default()
         };
@@ -276,7 +268,7 @@ mod tests {
         let back: Response = serde_json::from_str(&line).unwrap();
         assert!(back.ok);
         let parsed: StatsReport = back.parse_result().unwrap();
-        assert_eq!(parsed.memo_hits, 3);
+        assert_eq!(parsed.cache_hits, 3);
         assert_eq!(parsed.requests, 9);
     }
 

@@ -1,5 +1,5 @@
 //! The daemon: accept loop, per-connection handlers, request dispatch,
-//! snapshot lifecycle.
+//! request-level result cache.
 //!
 //! Concurrency model: one OS thread per connection (clients are expected
 //! in the tens, not the tens of thousands), each handling its requests
@@ -7,9 +7,16 @@
 //! fans its jobs across the [`hca_par`] worker set with per-item panic
 //! isolation ([`hca_par::try_par_map`]) — a job whose worker panics fails
 //! *that job only*; survivors keep their deterministic slots and the
-//! daemon keeps serving. All connections share one byte-budgeted
-//! [`Memo`] cache, so near-duplicate traffic turns into cache hits
-//! whatever connection it arrives on.
+//! daemon keeps serving.
+//!
+//! All connections share one result cache keyed by the exact resolved job
+//! (kernel name or inline DDG, plus the resolved machine; the daemon's
+//! [`HcaConfig`] is fixed for its lifetime). A hit returns the summary a
+//! direct run of that same job produced, so served ≡ direct holds by
+//! construction. Only successful compiles are cached, and a request for a
+//! job another request is solving waits for that solve. The cache is
+//! bounded by a fixed byte budget; an insert that would exceed it clears
+//! the map first.
 //!
 //! Intake is bounded: at most `MAX_CONNECTIONS` connections are served at
 //! once (the accept loop reaps finished handlers as it goes, and answers a
@@ -20,23 +27,25 @@
 //!
 //! The accept loop polls a non-blocking listener and a stop flag;
 //! connection readers poll with a short read timeout. A `shutdown` request
-//! flips the flag, every thread drains within a poll interval, and the
-//! cache is snapshotted to disk (versioned; a stale snapshot is discarded
-//! on the next start, never trusted).
+//! flips the flag and every thread drains within a poll interval.
 
 use crate::kernels::resolve_kernel;
-use crate::protocol::{summarise, CompileSpec, ItemResult, Request, Response, StatsReport};
+use crate::protocol::{
+    summarise, CompileSpec, CompileSummary, ItemResult, Request, Response, StatsReport,
+};
 use hca_arch::DspFabric;
-use hca_core::{run_hca_shared, HcaConfig, Memo};
+use hca_core::{run_hca_obs, HcaConfig};
 use hca_ddg::Ddg;
 use hca_obs::Obs;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
+#[cfg(unix)]
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -55,11 +64,6 @@ pub enum Bind {
 pub struct ServerConfig {
     /// Listen address.
     pub bind: Bind,
-    /// Snapshot file: loaded on start (discarded when stale), written on
-    /// clean shutdown. `None` disables persistence.
-    pub snapshot: Option<PathBuf>,
-    /// Byte budget of the shared memo cache.
-    pub memo_budget: usize,
     /// The solving configuration every request runs under.
     pub hca: HcaConfig,
 }
@@ -68,36 +72,78 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             bind: Bind::Tcp("127.0.0.1:0".to_string()),
-            snapshot: None,
-            memo_budget: Memo::DEFAULT_BUDGET,
             hca: HcaConfig::default(),
         }
     }
 }
 
+/// Byte budget of the result cache. Entries are a few hundred bytes for a
+/// named kernel and up to a request line for an inline DDG.
+const CACHE_BUDGET: usize = 64 << 20;
+
+/// Whole-request result cache: exact job key → the summary its compile
+/// produced. Keys come from clients, so the maps keep std's DoS-resistant
+/// hasher.
+#[derive(Default)]
+struct ResultCache {
+    map: HashMap<String, CompileSummary>,
+    /// Jobs being solved right now. A repeat of one waits for that solve
+    /// instead of solving the same job again on a contended core.
+    solving: HashSet<String>,
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+/// Approximate heap plus inline footprint of one cache entry.
+fn entry_bytes(key: &str, summary: &CompileSummary) -> usize {
+    key.len()
+        + summary.kernel.len()
+        + summary.digest.len()
+        + std::mem::size_of::<(String, CompileSummary)>()
+}
+
+impl ResultCache {
+    /// Insert, first clearing the whole map if the entry would push it
+    /// past [`CACHE_BUDGET`].
+    fn insert(&mut self, key: String, summary: CompileSummary) {
+        let size = entry_bytes(&key, &summary);
+        if self.bytes + size > CACHE_BUDGET {
+            self.map.clear();
+            self.bytes = 0;
+        }
+        self.bytes += size;
+        self.map.insert(key, summary);
+    }
+}
+
 /// State shared by the accept loop and every connection thread.
 struct Shared {
-    memo: Memo,
+    cache: Mutex<ResultCache>,
+    /// Signalled whenever a job leaves [`ResultCache::solving`].
+    solved: Condvar,
     hca: HcaConfig,
     stop: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
-    snapshot_entries: usize,
 }
 
 impl Shared {
+    /// The cache lock. A panicking compile never holds it, so a poisoned
+    /// lock still guards a consistent map.
+    fn cache(&self) -> std::sync::MutexGuard<'_, ResultCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn stats(&self) -> StatsReport {
+        let cache = self.cache();
         StatsReport {
-            memo_hits: self.memo.hits(),
-            memo_misses: self.memo.misses(),
-            memo_evictions: self.memo.evictions(),
-            memo_insertions: self.memo.insertions(),
-            memo_entries: self.memo.entries(),
-            memo_bytes: self.memo.approx_bytes(),
-            memo_budget: self.memo.budget(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_entries: cache.map.len(),
+            cache_bytes: cache.bytes,
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            snapshot_entries: self.snapshot_entries,
         }
     }
 }
@@ -108,13 +154,12 @@ enum Listener {
     Unix(UnixListener),
 }
 
-/// A bound (but not yet running) daemon. [`Server::bind`] loads the
-/// snapshot and claims the address; [`Server::run`] serves until a
-/// `shutdown` request, then snapshots and returns the final stats.
+/// A bound (but not yet running) daemon. [`Server::bind`] claims the
+/// address; [`Server::run`] serves until a `shutdown` request, then
+/// returns the final stats.
 pub struct Server {
     listener: Listener,
     shared: Arc<Shared>,
-    snapshot: Option<PathBuf>,
     local_addr: String,
 }
 
@@ -130,29 +175,8 @@ const MAX_CONNECTIONS: usize = 64;
 const MAX_LINE_BYTES: usize = 4 << 20;
 
 impl Server {
-    /// Bind the listen address and load the snapshot (if configured and
-    /// valid — a stale or unreadable snapshot logs one warning and the
-    /// cache starts cold).
+    /// Bind the listen address; the result cache starts empty.
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
-        let mut snapshot_entries = 0;
-        let memo = match &cfg.snapshot {
-            Some(path) if path.exists() => match Memo::load(path, cfg.memo_budget) {
-                Ok(m) => {
-                    snapshot_entries = m.entries();
-                    eprintln!(
-                        "hca-serve: restored {} cached sub-problems from {}",
-                        snapshot_entries,
-                        path.display()
-                    );
-                    m
-                }
-                Err(why) => {
-                    eprintln!("hca-serve: ignoring snapshot ({why}); starting cold");
-                    Memo::new(cfg.memo_budget)
-                }
-            },
-            _ => Memo::new(cfg.memo_budget),
-        };
         let (listener, local_addr) = match &cfg.bind {
             Bind::Tcp(addr) => {
                 let l = TcpListener::bind(addr.as_str())?;
@@ -173,14 +197,13 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
-                memo,
+                cache: Mutex::default(),
+                solved: Condvar::new(),
                 hca: cfg.hca,
                 stop: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
-                snapshot_entries,
             }),
-            snapshot: cfg.snapshot,
             local_addr,
         })
     }
@@ -192,7 +215,7 @@ impl Server {
     }
 
     /// Serve until a `shutdown` request (or [`Server::stop_handle`] flips),
-    /// then drain connections, snapshot the cache, and return final stats.
+    /// then drain connections and return final stats.
     pub fn run(self) -> std::io::Result<StatsReport> {
         let mut handles = Vec::new();
         while !self.shared.stop.load(Ordering::SeqCst) {
@@ -229,16 +252,6 @@ impl Server {
         // handler exits within ~one interval even if its client lingers.
         for h in handles {
             let _ = h.join();
-        }
-        if let Some(path) = &self.snapshot {
-            match self.shared.memo.save(path) {
-                Ok(n) => eprintln!(
-                    "hca-serve: snapshot saved: {} entries to {}",
-                    n,
-                    path.display()
-                ),
-                Err(e) => eprintln!("hca-serve: snapshot failed: {e}"),
-            }
         }
         #[cfg(unix)]
         if let Listener::Unix(_) = &self.listener {
@@ -394,11 +407,15 @@ fn read_request_line(
     }
 }
 
-/// Write one response line and flush it.
+/// Write one response line, newline included, in a single `write_all` and
+/// flush it. Writing the newline separately would send each response as
+/// two segments, and Nagle's algorithm with delayed ACK then stalls every
+/// response by ~40 ms.
 fn write_response(writer: &mut impl Write, resp: &Response) -> std::io::Result<()> {
-    let body = serde_json::to_string(resp)
+    let mut line = serde_json::to_string(resp)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writeln!(writer, "{body}")?;
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
@@ -455,7 +472,7 @@ fn dispatch(shared: &Shared, line: &str) -> (Response, bool) {
             };
             (Response::err(id, msg), false)
         }
-        "shutdown" => (Response::ok(id, &"shutting down; snapshot on exit"), true),
+        "shutdown" => (Response::ok(id, &"shutting down"), true),
         other => (Response::err(id, format!("unknown op `{other}`")), false),
     }
 }
@@ -485,11 +502,9 @@ fn run_jobs(shared: &Shared, jobs: &[CompileSpec]) -> Vec<ItemResult> {
         .collect()
 }
 
-/// Resolve and solve one job against the shared cache.
-fn compile_one(
-    shared: &Shared,
-    job: &CompileSpec,
-) -> Result<crate::protocol::CompileSummary, String> {
+/// Resolve one job and answer it from the result cache, or solve it and
+/// cache the summary.
+fn compile_one(shared: &Shared, job: &CompileSpec) -> Result<CompileSummary, String> {
     let (name, ddg): (String, Ddg) = match (&job.ddg, &job.kernel) {
         (Some(ddg), _) => {
             ddg.validate().map_err(|e| format!("inline ddg: {e}"))?;
@@ -499,9 +514,66 @@ fn compile_one(
         (None, None) => return Err("compile needs `kernel` or `ddg`".into()),
     };
     let fabric = parse_machine(job.machine.as_deref())?;
-    let res = run_hca_shared(&ddg, &fabric, &shared.hca, &Obs::disabled(), &shared.memo)
-        .map_err(|e| e.to_string())?;
-    Ok(summarise(&name, &ddg, &res))
+    let key = cache_key(&name, job.ddg.as_ref(), &fabric)?;
+    let mut cache = shared.cache();
+    loop {
+        if let Some(hit) = cache.map.get(&key) {
+            let hit = hit.clone();
+            cache.hits += 1;
+            return Ok(hit);
+        }
+        if cache.solving.insert(key.clone()) {
+            cache.misses += 1;
+            break;
+        }
+        cache = shared
+            .solved
+            .wait(cache)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(cache);
+    let mut claim = Claim {
+        shared,
+        key,
+        summary: None,
+    };
+    let res =
+        run_hca_obs(&ddg, &fabric, &shared.hca, &Obs::disabled()).map_err(|e| e.to_string())?;
+    let summary = summarise(&name, &ddg, &res);
+    claim.summary = Some(summary.clone());
+    Ok(summary)
+}
+
+/// A job this request is solving. Dropping it — solved, failed or
+/// unwinding from a panic — caches the summary if there is one, releases
+/// the job and wakes the requests waiting for it.
+struct Claim<'a> {
+    shared: &'a Shared,
+    key: String,
+    summary: Option<CompileSummary>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut cache = self.shared.cache();
+        cache.solving.remove(&self.key);
+        if let Some(summary) = self.summary.take() {
+            cache.insert(std::mem::take(&mut self.key), summary);
+        }
+        drop(cache);
+        self.shared.solved.notify_all();
+    }
+}
+
+/// The exact resolved job: the kernel name (a built-in name fixes its
+/// DDG) or the whole inline DDG, plus the resolved machine.
+fn cache_key(name: &str, inline: Option<&Ddg>, fabric: &DspFabric) -> Result<String, String> {
+    let ddg = match inline {
+        Some(ddg) => serde_json::to_string(ddg).map_err(|e| format!("cache key: {e}"))?,
+        None => String::new(),
+    };
+    let machine = serde_json::to_string(fabric).map_err(|e| format!("cache key: {e}"))?;
+    Ok(format!("{name}\n{ddg}\n{machine}"))
 }
 
 /// Parse a machine spec: `N,M,K` / `N` MUX capacities of the standard
@@ -522,5 +594,65 @@ pub fn parse_machine(spec: Option<&str>) -> Result<DspFabric, String> {
         [n] => Ok(DspFabric::standard(*n, *n, *n)),
         [n, m, k] => Ok(DspFabric::standard(*n, *m, *k)),
         _ => Err(format!("bad machine spec `{spec}`")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_leaves_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, &Response::ok(1, &"pong")).unwrap();
+        write_response(&mut w, &Response::err(2, "nope")).unwrap();
+        assert_eq!(w.writes, 2, "one write per response line");
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.ends_with('\n'));
+    }
+
+    fn summary(kernel: &str) -> CompileSummary {
+        CompileSummary {
+            kernel: kernel.to_string(),
+            nodes: 1,
+            final_mii: 1,
+            theoretical_mii: 1,
+            legal: true,
+            recvs: 0,
+            subproblems: 1,
+            digest: "0".repeat(16),
+        }
+    }
+
+    #[test]
+    fn result_cache_clears_past_its_budget() {
+        let mut cache = ResultCache::default();
+        cache.insert("a".into(), summary("a"));
+        assert_eq!(cache.map.get("a"), Some(&summary("a")));
+        // An entry that does not fit beside the others clears the map.
+        let big = "k".repeat(CACHE_BUDGET - cache.bytes);
+        cache.insert(big.clone(), summary("big"));
+        assert_eq!(cache.map.len(), 1);
+        assert!(cache.map.contains_key(&big));
+        assert_eq!(cache.bytes, entry_bytes(&big, &summary("big")));
     }
 }

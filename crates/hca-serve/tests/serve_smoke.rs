@@ -1,10 +1,11 @@
 //! End-to-end daemon smoke test: boot on a loopback port, exercise every
-//! op over a real TCP connection, shut down cleanly, and verify the cache
-//! snapshot survives a restart.
+//! op over a real TCP connection, and shut down cleanly.
 
 use hca_serve::{Client, CompileSpec, Request, Server, ServerConfig};
+#[cfg(unix)]
 use std::path::PathBuf;
 
+#[cfg(unix)]
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("hca_serve_smoke_{}_{name}", std::process::id()));
@@ -19,43 +20,51 @@ fn spec(kernel: &str) -> CompileSpec {
 }
 
 #[test]
-fn daemon_round_trip_and_snapshot_reload() {
-    let snap = temp_path("snapshot.json");
-    let _ = std::fs::remove_file(&snap);
-
-    // --- first life: cold cache ---
-    let server = Server::bind(ServerConfig {
-        snapshot: Some(snap.clone()),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
+fn daemon_round_trip_and_request_cache() {
+    let server = Server::bind(ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run().expect("server run"));
 
     let mut client = Client::connect_tcp(&addr).expect("connect");
     client.ping().expect("ping");
 
-    // Cold compile: all misses.
+    // Cold compile: solved.
     let first = client.compile(spec("fir2dim")).expect("cold compile");
     assert!(first.legal, "served fir2dim must be legal");
     assert!(first.subproblems > 0);
 
-    // Hot compile of the same kernel: the shared memo must hit.
+    // The same job again is answered from the result cache.
     let second = client.compile(spec("fir2dim")).expect("hot compile");
     assert_eq!(first, second, "same job must serve identical bits");
     let stats = client.stats().expect("stats");
-    assert!(
-        stats.memo_hits > 0,
-        "second compile of the same kernel must hit the cache: {stats:?}"
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits, stats.cache_entries),
+        (1, 1, 1),
+        "second compile of the same job must hit the cache: {stats:?}"
     );
-    assert_eq!(stats.snapshot_entries, 0, "first life starts cold");
+    // A different machine is a different job.
+    let other = client
+        .compile(CompileSpec {
+            machine: Some("4,4,4".into()),
+            ..spec("fir2dim")
+        })
+        .expect("compile on another machine");
+    assert!(other.legal);
+    assert_eq!(client.stats().expect("stats").cache_misses, 2);
 
-    // Batch: good jobs succeed in order, a bad job fails only itself.
+    // Batch: good jobs succeed in order, a bad job fails only itself, and
+    // a job repeated inside the batch is solved once.
     let items = client
-        .compile_batch(vec![spec("biquad"), spec("no_such_kernel"), spec("fir8")])
+        .compile_batch(vec![
+            spec("biquad"),
+            spec("no_such_kernel"),
+            spec("fir8"),
+            spec("biquad"),
+        ])
         .expect("batch");
-    assert_eq!(items.len(), 3);
-    assert!(items[0].ok && items[2].ok);
+    assert_eq!(items.len(), 4);
+    assert!(items[0].ok && items[2].ok && items[3].ok);
+    assert_eq!(items[0].result, items[3].result);
     assert!(!items[1].ok, "unknown kernel must fail its own item");
     assert!(items[1]
         .error
@@ -84,41 +93,18 @@ fn daemon_round_trip_and_snapshot_reload() {
 
     client.shutdown().expect("shutdown");
     let final_stats = daemon.join().expect("daemon thread");
-    assert!(
-        final_stats.memo_entries > 0,
-        "cache must hold entries at exit"
-    );
-    assert!(snap.exists(), "shutdown must write the snapshot");
-
-    // --- second life: warm cache from the snapshot ---
-    let server = Server::bind(ServerConfig {
-        snapshot: Some(snap.clone()),
-        ..ServerConfig::default()
-    })
-    .expect("re-bind");
-    let addr = server.local_addr().to_string();
-    let daemon = std::thread::spawn(move || server.run().expect("server re-run"));
-
-    let mut client = Client::connect_tcp(&addr).expect("re-connect");
-    let stats = client.stats().expect("stats after reload");
-    assert!(
-        stats.snapshot_entries > 0,
-        "restart must restore snapshot entries: {stats:?}"
-    );
-    let served = client.compile(spec("fir2dim")).expect("warm compile");
+    // Solved: fir2dim, fir2dim on 4,4,4, biquad and fir8; answered from
+    // the cache: the second fir2dim and the second biquad. The unknown
+    // kernel never reaches the cache.
     assert_eq!(
-        served, first,
-        "a snapshot-warmed result must be bit-identical to the cold one"
+        (
+            final_stats.cache_misses,
+            final_stats.cache_hits,
+            final_stats.cache_entries
+        ),
+        (4, 2, 4),
+        "{final_stats:?}"
     );
-    let stats = client.stats().expect("stats after warm compile");
-    assert!(
-        stats.memo_hits > 0,
-        "warm compile must hit restored entries: {stats:?}"
-    );
-
-    client.shutdown().expect("second shutdown");
-    daemon.join().expect("daemon thread 2");
-    let _ = std::fs::remove_file(&snap);
 }
 
 #[cfg(unix)]
@@ -145,11 +131,24 @@ fn unix_socket_round_trip() {
 }
 
 #[test]
-fn inline_ddg_with_a_dangling_edge_is_a_typed_error() {
+fn inline_ddgs_failing_validation_are_typed_errors() {
+    use serde_json::Value;
     let json = serde_json::to_string(&hca_kernels::dspstone::dot_product()).expect("serialise");
-    let broken = json.replacen("\"dst\":0", "\"dst\":999", 1);
-    assert_ne!(broken, json, "first edge retargeted");
-    let ddg: hca_ddg::Ddg = serde_json::from_str(&broken).expect("still well-formed JSON");
+    let dangling = json.replacen("\"dst\":0", "\"dst\":999", 1);
+    assert_ne!(dangling, json, "first edge retargeted");
+    // The first edge's latency raised past `hca_ddg::MAX_EDGE_WEIGHT`.
+    let mut heavy = serde_json::from_str_value(&json).expect("parse");
+    let Value::Map(fields) = &mut heavy else {
+        panic!("DDG JSON is an object");
+    };
+    let Some((_, Value::Seq(edges))) = fields.iter_mut().find(|(k, _)| k == "edges") else {
+        panic!("edges is an array");
+    };
+    let Value::Map(edge) = &mut edges[0] else {
+        panic!("an edge is an object");
+    };
+    edge.iter_mut().find(|(k, _)| k == "latency").unwrap().1 = Value::UInt(u64::from(u32::MAX));
+    let heavy = serde_json::to_string(&heavy).unwrap();
 
     let server = Server::bind(ServerConfig::default()).expect("bind");
     let stop = server.stop_handle();
@@ -157,15 +156,22 @@ fn inline_ddg_with_a_dangling_edge_is_a_typed_error() {
     let daemon = std::thread::spawn(move || server.run().expect("server run"));
 
     let mut client = Client::connect_tcp(&addr).expect("connect");
-    let err = client
-        .compile(CompileSpec {
-            ddg: Some(ddg),
-            ..CompileSpec::default()
-        })
-        .expect_err("dangling edge must be rejected");
-    assert!(err.contains("edge 0 (n0 -> n999)"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    client.ping().expect("daemon keeps serving");
+    for (broken, want) in [
+        (dangling, "edge 0 (n0 -> n999)"),
+        (heavy, "has latency 4294967295"),
+    ] {
+        let ddg: hca_ddg::Ddg = serde_json::from_str(&broken).expect("still a DDG");
+        let err = client
+            .compile(CompileSpec {
+                ddg: Some(ddg),
+                ..CompileSpec::default()
+            })
+            .expect_err("an invalid DDG must be rejected");
+        assert!(err.contains("malformed DDG"), "{err}");
+        assert!(err.contains(want), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        client.ping().expect("daemon keeps serving");
+    }
 
     stop.stop();
     daemon.join().expect("daemon thread");
